@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
 // Quiet by default (tests and benches stay clean); examples raise the level
-// to narrate what the system is doing. Not thread-safe by design — the
-// entire simulation is single-threaded.
+// to narrate what the system is doing. Not thread-safe by design: every
+// simulated event runs on the one thread that drives sim::EventLoop.
 #pragma once
 
 #include <sstream>

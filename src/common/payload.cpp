@@ -3,15 +3,14 @@
 namespace gmmcs {
 
 namespace {
-// Commutative sums; fan-out copy jobs may run on parallel dispatch
-// workers, so the counters are atomic (relaxed: only read between events).
-std::atomic<std::uint64_t> g_payload_copies{0};
-std::atomic<std::uint64_t> g_payload_bytes_copied{0};
+// Process-wide copy counters (see payload_copy_count()).
+std::uint64_t g_payload_copies = 0;
+std::uint64_t g_payload_bytes_copied = 0;
 }  // namespace
 
 Payload Payload::copy_of(std::span<const std::uint8_t> data) {
-  g_payload_copies.fetch_add(1, std::memory_order_relaxed);
-  g_payload_bytes_copied.fetch_add(data.size(), std::memory_order_relaxed);
+  ++g_payload_copies;
+  g_payload_bytes_copied += data.size();
   return Payload(Bytes(data.begin(), data.end()));
 }
 
@@ -22,17 +21,17 @@ Payload Payload::slice(std::size_t offset, std::size_t len) const {
 }
 
 Bytes Payload::to_bytes() const {
-  g_payload_copies.fetch_add(1, std::memory_order_relaxed);
-  g_payload_bytes_copied.fetch_add(size_, std::memory_order_relaxed);
+  ++g_payload_copies;
+  g_payload_bytes_copied += size_;
   return Bytes(data_, data_ + size_);
 }
 
 std::uint64_t payload_copy_count() {
-  return g_payload_copies.load(std::memory_order_relaxed);
+  return g_payload_copies;
 }
 
 std::uint64_t payload_bytes_copied() {
-  return g_payload_bytes_copied.load(std::memory_order_relaxed);
+  return g_payload_bytes_copied;
 }
 
 }  // namespace gmmcs

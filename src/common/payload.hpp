@@ -20,7 +20,6 @@
 //    counted deep copy like copy_of().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>

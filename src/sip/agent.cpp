@@ -96,7 +96,10 @@ void SipAgent::handle_message(transport::StreamConnection* from, const Payload& 
 }
 
 std::string SipAgent::new_call_id() {
-  return "cid-" + std::to_string(host_->id()) + "-" + std::to_string(++call_id_counter_);
+  // Host id plus the agent's bound port: several agents may share a host,
+  // and each numbers its calls from 1.
+  return "cid-" + std::to_string(host_->id()) + "-" + std::to_string(endpoint().port) + "-" +
+         std::to_string(++call_id_counter_);
 }
 
 }  // namespace gmmcs::sip

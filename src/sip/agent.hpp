@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
+#include "common/pinned.hpp"
 #include "sim/network.hpp"
 #include "sip/message.hpp"
 #include "transport/stream.hpp"
@@ -49,7 +49,8 @@ class GMMCS_PINNED("SIP agents are run-long endpoints; their transports die firs
   [[nodiscard]] std::uint64_t requests_sent() const { return requests_sent_; }
   [[nodiscard]] std::uint64_t requests_received() const { return requests_received_; }
 
-  /// Fresh Call-ID / CSeq helpers for user agents.
+  /// Fresh Call-ID / CSeq helpers for user agents. Call-IDs are unique per
+  /// agent (host id, bound port, counter).
   std::string new_call_id();
   std::uint32_t next_cseq() { return next_cseq_++; }
 

@@ -61,6 +61,13 @@ void XgspClient::join(const std::string& session_id, ReplyHandler on_reply) {
 }
 
 void XgspClient::leave(const std::string& session_id, ReplyHandler on_reply) {
+  // Stop watching the session: its notifications are for members only,
+  // and a later join subscribes again.
+  auto watched = watched_sessions_.find(session_id);
+  if (watched != watched_sessions_.end() && watched->second) {
+    watched->second = false;
+    client_.unsubscribe("/xgsp/session/" + session_id + "/control");
+  }
   request(Message::leave(session_id, user_), std::move(on_reply));
 }
 

@@ -18,7 +18,7 @@
 // DeferredPongAfterEvictionIsDropped.
 //
 // The static-analysis twin is tools/lint/tests/test_lifetime.py
-// (TestKpingRegression): gmmcs-lint pass 7 flags the raw-capture form
+// (TestKpingRegression): gmmcs-lint pass 6 flags the raw-capture form
 // of this code and `--fix` rewrites it into the weak_ptr shape asserted
 // here, so the bug class is fenced from both sides — the linter stops
 // it at review time, this test stops it at runtime.

@@ -3,6 +3,7 @@
 // seeded from the suite parameter, so failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -247,9 +248,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TopicProperty, ::testing::Values(11, 12, 13));
 // ServiceCenter obeys queueing theory.
 // ---------------------------------------------------------------------------
 
+// ctest names each case of this suite and of StreamProperty by a byte dump
+// of its parameter (gtest_discover_tests pretty values). Padding bytes were
+// uninitialised, so those names changed from build to build; `id_bytes`
+// fills the padding explicitly, with the bytes the suite's case names carry.
 struct QueueCase {
   double utilization;   // ρ = λ·s (single server)
   int servers;
+  std::uint32_t id_bytes;
 };
 
 class QueueLaw : public ::testing::TestWithParam<QueueCase> {};
@@ -288,9 +294,9 @@ TEST_P(QueueLaw, PoissonArrivalsMatchMD1Wait) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Loads, QueueLaw,
-                         ::testing::Values(QueueCase{0.3, 1}, QueueCase{0.6, 1},
-                                           QueueCase{0.8, 1}, QueueCase{0.9, 1},
-                                           QueueCase{0.8, 4}));
+                         ::testing::Values(QueueCase{0.3, 1, 0xEA1E}, QueueCase{0.6, 1, 0xFFFFFFFF},
+                                           QueueCase{0.8, 1, 0}, QueueCase{0.9, 1, 0x7F53},
+                                           QueueCase{0.8, 4, 0x7F53}));
 
 // ---------------------------------------------------------------------------
 // Stream transport: exactly-once, in-order, any (latency, loss) setting.
@@ -298,8 +304,10 @@ INSTANTIATE_TEST_SUITE_P(Loads, QueueLaw,
 
 struct LinkCase {
   int latency_us;
+  std::uint32_t id_bytes;  // see QueueCase
   double loss;
   int messages;
+  std::uint32_t tail_bytes = 0;
 };
 
 class StreamProperty : public ::testing::TestWithParam<LinkCase> {};
@@ -328,9 +336,11 @@ TEST_P(StreamProperty, ExactlyOnceInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Links, StreamProperty,
-                         ::testing::Values(LinkCase{10, 0.0, 50}, LinkCase{5000, 0.0, 50},
-                                           LinkCase{100, 0.3, 100}, LinkCase{100, 0.9, 30},
-                                           LinkCase{50000, 0.5, 20}));
+                         ::testing::Values(LinkCase{10, 0, 0.0, 50},
+                                           LinkCase{5000, 0xFFFFFFFF, 0.0, 50},
+                                           LinkCase{100, 0x55FC, 0.3, 100},
+                                           LinkCase{100, 0, 0.9, 30},
+                                           LinkCase{50000, 0x55FC, 0.5, 20}));
 
 // ---------------------------------------------------------------------------
 // Broker delivery: with random filters/topics, every matching subscriber

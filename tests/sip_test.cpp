@@ -373,6 +373,47 @@ TEST_F(SipGatewayTest, InviteJoinsXgspSessionAndBridgesMedia) {
   EXPECT_EQ(alice_rtp.source_stats(900).received(), 1u);  // unchanged
 }
 
+TEST_F(SipGatewayTest, TwoCallersOnOneHostKeepSeparateCalls) {
+  // Two user agents sharing one host must mint distinct Call-IDs: the
+  // proxy keys pending transactions and the gateway keys calls by them.
+  xgsp::Message created = sessions.handle(xgsp::Message::create_session(
+      "shared-host", "gcf", xgsp::SessionMode::kAdHoc, {{"audio", "PCMU"}}));
+  std::string sid = created.sessions.front().id();
+
+  sim::Host& shared = net.add_host("desk");
+  SipEndpoint alice(shared, "sip:alice@iu.edu", proxy.endpoint());
+  SipEndpoint bob(shared, "sip:bob@iu.edu", proxy.endpoint());
+  int registered = 0;
+  alice.register_with_proxy([&](bool ok) { registered += ok ? 1 : 0; });
+  bob.register_with_proxy([&](bool ok) { registered += ok ? 1 : 0; });
+  loop.run();
+  EXPECT_EQ(registered, 2);
+
+  int answered = 0;
+  for (SipEndpoint* ep : {&alice, &bob}) {
+    Sdp offer;
+    offer.address = shared.id();
+    offer.media.push_back({"audio", 0, 0, "PCMU/8000"});
+    ep->invite(SipGateway::conference_uri(sid), offer,
+               [&](bool ok, const SipEndpoint::Call&) { answered += ok ? 1 : 0; });
+  }
+  loop.run();
+  EXPECT_EQ(answered, 2);
+  ASSERT_TRUE(alice.active_call().has_value());
+  ASSERT_TRUE(bob.active_call().has_value());
+  EXPECT_NE(alice.active_call()->call_id, bob.active_call()->call_id);
+  EXPECT_EQ(gateway.active_calls(), 2u);
+
+  // Alice's BYE ends her leg only.
+  bool bye_ok = false;
+  alice.bye([&](bool ok) { bye_ok = ok; });
+  loop.run();
+  EXPECT_TRUE(bye_ok);
+  EXPECT_EQ(gateway.active_calls(), 1u);
+  EXPECT_FALSE(sessions.find(sid)->has_member("sip:alice@iu.edu"));
+  EXPECT_TRUE(sessions.find(sid)->has_member("sip:bob@iu.edu"));
+}
+
 TEST_F(SipGatewayTest, InviteToUnknownSessionRejected) {
   SipEndpoint alice(net.add_host("alice"), "sip:alice@iu.edu", proxy.endpoint());
   alice.register_with_proxy([](bool) {});

@@ -210,6 +210,40 @@ TEST_F(XgspServerTest, NotificationsReachJoinedClients) {
   EXPECT_EQ(alice_saw.back(), "join-session");
 }
 
+TEST_F(XgspServerTest, NotificationsStopAfterLeaveAndResumeOnRejoin) {
+  XgspClient alice(net.add_host("alice"), broker_node.stream_endpoint(), "alice");
+  XgspClient bob(net.add_host("bob"), broker_node.stream_endpoint(), "bob");
+  std::string session_id;
+  alice.create_session("weekly", SessionMode::kAdHoc, {}, [&](const Message& r) {
+    session_id = r.sessions.front().id();
+  });
+  loop.run();
+  alice.join(session_id, [](const Message&) {});
+  loop.run();
+  int alice_saw = 0;
+  alice.on_notification([&](const Message&) { ++alice_saw; });
+  bool left = false;
+  alice.leave(session_id, [&](const Message& r) { left = r.type == MsgType::kAck; });
+  loop.run();
+  ASSERT_TRUE(left);
+
+  // Roster changes of a session alice has left are not hers to hear.
+  alice_saw = 0;
+  bob.join(session_id, [](const Message&) {});
+  loop.run();
+  bob.leave(session_id, [](const Message&) {});
+  loop.run();
+  EXPECT_EQ(alice_saw, 0);
+
+  // Re-joining subscribes again.
+  alice.join(session_id, [](const Message&) {});
+  loop.run();
+  alice_saw = 0;
+  bob.join(session_id, [](const Message&) {});
+  loop.run();
+  EXPECT_GT(alice_saw, 0);
+}
+
 TEST_F(XgspServerTest, FloorControlOverBroker) {
   XgspClient alice(net.add_host("alice"), broker_node.stream_endpoint(), "alice");
   std::string session_id;

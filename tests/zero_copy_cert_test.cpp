@@ -1,6 +1,6 @@
 // Zero-copy certification for the routed-event payload plane (DESIGN.md §15).
 //
-// The claim the copy-discipline lint pass (gmmcs-lint pass 8) exists to
+// The claim the copy-discipline lint pass (gmmcs-lint pass 7) exists to
 // protect: a routed event's bytes are allocated exactly once — the wire
 // frame built at the publishing client — and every hop from there to the
 // last of 400 subscribers shares that buffer by refcount. Three

@@ -2,8 +2,7 @@
 """Determinism linter for the Global-MMCS simulation core.
 
 The repo's headline invariant is that a run is a pure function of its
-config + seed: same inputs, byte-identical metrics — serial or parallel
-(DESIGN.md §9). This linter statically rejects the ways C++ code usually
+config + seed: same inputs, byte-identical metrics (DESIGN.md §9). This linter statically rejects the ways C++ code usually
 breaks that, anywhere under src/:
 
   wall-clock           std::chrono / clock_gettime / time(nullptr)...:
@@ -15,10 +14,11 @@ breaks that, anywhere under src/:
                        (src/common/random.*, the one allowed home).
   pointer-format       "%p" / streaming void*: addresses differ run to run
                        (ASLR), so they must never reach logs or metrics.
-  raw-threading        std::mutex / std::thread & friends outside the
-                       annotated wrappers (src/common/mutex.hpp,
-                       src/common/thread.hpp): thread-safety analysis and
-                       the determinism argument only cover the wrappers.
+  raw-threading        std::thread / std::mutex / std::atomic /
+                       thread_local & friends, anywhere: the simulator is
+                       single-threaded by construction (one EventLoop
+                       runs every event), so nothing in src/ may spawn,
+                       lock or share across threads.
   unordered-iteration  range-for over a std::unordered_{map,set} member:
                        hash-order iteration feeding scheduling or output
                        is run-to-run nondeterministic across libstdc++
@@ -27,7 +27,7 @@ breaks that, anywhere under src/:
 
 Suppressions: a line (or the line directly above it) containing
 `det-lint: allow(<rule>)` or `NOLINT` is exempt — used sparingly, with a
-justification, e.g. the sanctioned wrapper internals.
+justification.
 
 Usage:
   determinism_lint.py [--compile-commands build/compile_commands.json]
@@ -81,26 +81,23 @@ RULES = {
         r"\bstd::(thread|jthread)\b",
         r"\bstd::(lock_guard|scoped_lock|unique_lock|shared_lock)\b",
         r"\bstd::(async|promise|packaged_task)\b",
+        r"\bstd::atomic",
+        r"\bthread_local\b",
         r"\bpthread_[a-z_]+\s*\(",
-        r"#\s*include\s*<(thread|mutex|shared_mutex|condition_variable|future)>",
+        r"#\s*include\s*<(thread|mutex|shared_mutex|condition_variable|future|atomic)>",
     ],
 }
 
 # Files where a rule is allowed wholesale: the sanctioned homes.
 ALLOWED_FILES = {
     "ambient-random": {"src/common/random.hpp", "src/common/random.cpp"},
-    "raw-threading": {
-        "src/common/mutex.hpp",
-        "src/common/thread.hpp",
-        "src/common/thread_annotations.hpp",
-    },
 }
 
 MESSAGES = {
     "wall-clock": "wall-clock time in simulated code (use sim time, common/time.hpp)",
     "ambient-random": "ambient randomness (use the seeded gmmcs::Rng, common/random.hpp)",
     "pointer-format": "formats a pointer value (nondeterministic under ASLR)",
-    "raw-threading": "raw threading primitive (use gmmcs::Mutex/MutexLock/Thread wrappers)",
+    "raw-threading": "threading primitive in simulated code (the simulator is single-threaded)",
     "unordered-iteration": (
         "range-for over unordered container '%s' (hash order is not deterministic; "
         "suppress only if the loop body is order-independent)"

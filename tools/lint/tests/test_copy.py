@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for the gmmcs-lint copy pass (pass 8, DESIGN.md §15).
+"""Unit tests for the gmmcs-lint copy pass (pass 7, DESIGN.md §15).
 
 Copy-discipline dataflow over payload-typed values (Bytes / Payload):
 by-value Bytes parameters that are never adopted, copy-construction

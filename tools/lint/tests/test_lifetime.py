@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for the gmmcs-lint lifetime pass (pass 7, DESIGN.md §14).
+"""Unit tests for the gmmcs-lint lifetime pass (pass 6, DESIGN.md §14).
 
 Deferred-capture escape analysis: every callable handed to a deferred
 sink (EventLoop::schedule_*, ServiceCenter::submit, callback-storing

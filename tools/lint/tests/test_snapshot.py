@@ -2,15 +2,16 @@
 """Unit tests for the gmmcs-lint snapshot-discipline pass.
 
 The epoch-snapshot control plane (DESIGN.md §12) is only sound while the
-published types stay immutable, readers hold const handles, and the atomic
-snapshot pointer is stored from writer scopes only. The production tree is
-(and must stay) clean, so these fixtures are the proof that the pass
-actually detects each violation class: mutable state in a snapshot type,
-non-const methods (declared, inline and out-of-line), const_cast escapes,
-non-const handles outside writer scopes, mutable handle members, and
-publication from reader code — plus the writer-scope carve-outs
-(GMMCS_REQUIRES on the definition or its header declaration, a prior
-assert_held) and suppressions.
+published types stay immutable and every holder keeps a const handle. The
+production tree is (and must stay) clean, so these fixtures are the proof
+that the pass actually detects each violation class: mutable state in a
+snapshot type, non-const methods (declared, inline and out-of-line),
+const_cast escapes, non-const handles in any scope (the capability
+annotations that once exempted writer scopes exempt nothing now), mutable
+handle members — plus the by-value build + make_shared<const T> shape the
+writer uses, and suppressions. The retired publication rule's fixtures
+are kept as proof that the determinism linter's std::atomic ban catches
+them.
 
 Run directly (`python3 tools/lint/tests/test_snapshot.py`) or via the
 `gmmcs_lint_snapshot_selftest` ctest.
@@ -22,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+import determinism_lint  # noqa: E402
 import gmmcs_lint  # noqa: E402
 from test_gmmcs_lint import LintCase  # noqa: E402
 
@@ -133,7 +135,7 @@ Snap copy_of(const Snap& s) { return s; }
 
 
 class TestSnapshotMutation(SnapshotCase):
-    def test_const_cast_is_flagged_even_in_writer_scope(self):
+    def test_const_cast_is_flagged_even_in_former_writer_scope(self):
         self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
         self.tree.write("src/broker/evil.cpp", """
 #include "broker/snap.hpp"
@@ -182,7 +184,9 @@ int peek(const SnapPtr& snap) {
 """)
         self.assertEqual(self.lint(), [])
 
-    def test_make_shared_under_requires_is_clean(self):
+    def test_make_shared_nonconst_is_flagged_even_under_requires(self):
+        # Formerly a writer scope (GMMCS_REQUIRES exempted it); the
+        # non-const handle rule now applies everywhere.
         self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
         self.tree.write("src/broker/writer.cpp", """
 #include "broker/snap.hpp"
@@ -191,9 +195,25 @@ void Fabric::publish_now() GMMCS_REQUIRES(ctx_) {
   next->epoch = 2;
 }
 """)
+        findings = self.lint()
+        self.assertEqual(self.rules(findings), ["snapshot-mutation"])
+        self.assertIn("make_shared<const T>", findings[0][3])
+
+    def test_build_by_value_and_wrap_const_is_clean(self):
+        # The writer shape publish_now uses: a by-value local, wrapped
+        # const at publication.
+        self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
+        self.tree.write("src/broker/writer.cpp", """
+#include "broker/snap.hpp"
+void Fabric::publish_now() {
+  Snap next(2);
+  pub_ = std::make_shared<const Snap>(std::move(next));
+  cur_ = std::make_shared<const Snap>(Snap{3});
+}
+""")
         self.assertEqual(self.lint(), [])
 
-    def test_requires_on_header_declaration_carries_to_definition(self):
+    def test_requires_on_header_declaration_no_longer_exempts(self):
         self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
         self.tree.write("src/broker/fabric.hpp", """
 #include "broker/snap.hpp"
@@ -209,9 +229,11 @@ void Fabric::publish_now() {
   next->epoch = 2;
 }
 """)
-        self.assertEqual(self.lint(), [])
+        findings = self.lint()
+        self.assertEqual(self.rules(findings), ["snapshot-mutation"])
+        self.assertEqual(findings[0][0], "src/broker/fabric.cpp")
 
-    def test_assert_held_makes_writer_from_that_point_only(self):
+    def test_assert_held_no_longer_starts_a_writer_scope(self):
         self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
         self.tree.write("src/broker/half.cpp", """
 #include "broker/snap.hpp"
@@ -222,11 +244,11 @@ void Fabric::rebuild() {
 }
 """)
         findings = self.lint()
-        self.assertEqual(self.rules(findings), ["snapshot-mutation"])
-        # Only the pre-assert handle is flagged.
-        self.assertEqual(len(findings), 1)
+        # Both handles are flagged, before and after the assert.
+        self.assertEqual(self.rules(findings),
+                         ["snapshot-mutation", "snapshot-mutation"])
 
-    def test_lambda_does_not_inherit_writer_status(self):
+    def test_lambda_is_reported_as_its_own_scope(self):
         self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
         self.tree.write("src/broker/lam.cpp", """
 #include "broker/snap.hpp"
@@ -288,51 +310,25 @@ void migrate(std::shared_ptr<Snap> s) {
         self.assertEqual(self.lint(), [])
 
 
-class TestSnapshotPublication(SnapshotCase):
+class TestRetiredPublicationRule(SnapshotCase):
+    """The pass's former atomic-publication rule checked writes to an
+    std::atomic snapshot pointer. The published pointer is a plain private
+    member now, and the determinism linter bans std::atomic in src/
+    outright — a stronger check that rejects every fixture the old rule
+    caught, before any publication code is written."""
+
     HOLDER = """
 #include "broker/snap.hpp"
 #include <atomic>
 class Fabric {
  public:
   SnapPtr snapshot() const { return snap_.load(); }
-  void publish_now() GMMCS_REQUIRES(ctx_);
   void refresh();
  private:
   std::atomic<SnapPtr> snap_;
 };
 """
-
-    def test_store_outside_writer_scope_is_flagged(self):
-        self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
-        self.tree.write("src/broker/fabric.hpp", self.HOLDER)
-        self.tree.write("src/broker/fabric.cpp", """
-#include "broker/fabric.hpp"
-void Fabric::refresh() {
-  snap_.store(nullptr);
-}
-""")
-        findings = self.lint()
-        self.assertEqual(self.rules(findings), ["snapshot-publication"])
-        self.assertIn("snap_", findings[0][3])
-
-    def test_store_in_writer_scope_and_loads_are_clean(self):
-        self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
-        self.tree.write("src/broker/fabric.hpp", self.HOLDER)
-        self.tree.write("src/broker/fabric.cpp", """
-#include "broker/fabric.hpp"
-void Fabric::publish_now() {
-  snap_.store(nullptr, std::memory_order_release);
-}
-void Fabric::refresh() {
-  auto cur = snap_.load(std::memory_order_acquire);
-  (void)cur;
-}
-""")
-        self.assertEqual(self.lint(), [])
-
-    def test_atomic_shared_ptr_const_spelling_is_recognized(self):
-        self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
-        self.tree.write("src/broker/alt.hpp", """
+    ALT = """
 #include "broker/snap.hpp"
 #include <atomic>
 class Alt {
@@ -341,9 +337,20 @@ class Alt {
  private:
   std::atomic<std::shared_ptr<const Snap>> cur_;
 };
-""")
-        findings = self.lint()
-        self.assertEqual(self.rules(findings), ["snapshot-publication"])
+"""
+
+    def det_findings(self, rel):
+        src = next(s for s in self.tree.sources() if s.rel == rel)
+        return [rule for _, rule, _ in determinism_lint.lint_source(src, set())]
+
+    def test_atomic_snapshot_pointers_are_rejected_by_determinism_lint(self):
+        self.tree.write("src/broker/snap.hpp", CLEAN_SNAP)
+        self.tree.write("src/broker/fabric.hpp", self.HOLDER)
+        self.tree.write("src/broker/alt.hpp", self.ALT)
+        for rel in ("src/broker/fabric.hpp", "src/broker/alt.hpp"):
+            rules = self.det_findings(rel)
+            # The include and the member declaration are both caught.
+            self.assertEqual(rules, ["raw-threading", "raw-threading"], rel)
 
 
 class TestDefaults(SnapshotCase):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for the gmmcs-lint wire pass (pass 9, DESIGN.md §16).
+"""Unit tests for the gmmcs-lint wire pass (pass 8, DESIGN.md §16).
 
 Untrusted-input taint analysis: raw ByteReader reads (u8/u16/u32/u64)
 are wire-tainted and must not reach allocation sizes, container

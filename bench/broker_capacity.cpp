@@ -8,20 +8,14 @@
 // Alongside the table it writes BENCH_broker_capacity.json so the bench
 // trajectory is machine-readable.
 //
-// Both broker control planes run by default so before/after knees land in
-// one file (DESIGN.md §12): "locked" is the classic serial dispatch path,
-// "snapshot" is the epoch-snapshot plane (snapshot routing reads, batched
-// fan-out, 8 simulated dispatch threads). The snapshot video sweep
-// extends past 600 clients because that is where its knee lives.
-//
-//   --snapshot on|off   restrict to one control plane (default: both)
-//   --quick             one small point per sweep, no JSON write (a fast
-//                       smoke run of broker fan-out, e.g. under a
-//                       sanitizer build)
+// Both fan-out planes run so before/after knees land in one file
+// (DESIGN.md §12): "per_copy" is the classic dispatch path with one job
+// per recipient, "batched" submits one NIC-gated batch per event on 8
+// simulated dispatch threads. The batched video sweep extends past 600
+// clients because that is where its knee lives.
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/payload.hpp"
@@ -31,7 +25,7 @@ namespace {
 
 struct JsonPoint {
   std::string sweep;
-  std::string plane;
+  std::string fanout;
   gmmcs::core::CapacityPoint p;
   // Copy-discipline counters across the point's run: steady-state broker
   // fan-out must not deep-copy payload bytes, so both stay 0.
@@ -45,11 +39,11 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
-           const char* plane_name, const gmmcs::broker::DispatchConfig& dispatch,
+           const char* fanout, const gmmcs::broker::DispatchConfig& dispatch,
            const std::vector<int>& counts, int paper_claim) {
   using namespace gmmcs::core;
-  std::printf("\n=== %s [%s control plane] (paper claim: good quality beyond %d clients) ===\n",
-              title, plane_name, paper_claim);
+  std::printf("\n=== %s [%s fan-out] (paper claim: good quality beyond %d clients) ===\n",
+              title, fanout, paper_claim);
   std::printf("%10s %14s %16s %10s %12s %10s %10s\n", "clients", "avg delay", "per-client max",
               "loss", "offered", "quality", "wall");
   int last_good = 0;
@@ -66,10 +60,10 @@ void sweep(gmmcs::core::MediaKind kind, const char* title, const char* key,
     std::uint64_t cb = gmmcs::payload_bytes_copied() - cb0;
     double wall_s = wall_seconds_since(t0);
     std::printf("%10d %11.2f ms %13.2f ms %9.3f%% %9.1f Mbps %10s %8.2f s\n", p.clients,
-                p.avg_delay_ms, p.p99_delay_ms, p.loss_ratio * 100.0, p.offered_mbps,
+                p.avg_delay_ms, p.mean_max_delay_ms, p.loss_ratio * 100.0, p.offered_mbps,
                 p.good_quality ? "good" : "DEGRADED", wall_s);
     if (p.good_quality) last_good = n;
-    g_points.push_back({key, plane_name, p, cp, cb});
+    g_points.push_back({key, fanout, p, cp, cb});
   }
   std::printf("  -> largest good-quality client count in sweep: %d (paper: >%d)\n", last_good,
               paper_claim);
@@ -80,13 +74,13 @@ void write_json() {
   if (json == nullptr) return;
   std::fprintf(json, "{\n  \"bench\": \"broker_capacity\",\n  \"points\": [\n");
   for (std::size_t i = 0; i < g_points.size(); ++i) {
-    const auto& [sweep_key, plane, p, copies, copied_bytes] = g_points[i];
+    const auto& [sweep_key, fanout, p, copies, copied_bytes] = g_points[i];
     std::fprintf(json,
-                 "    {\"sweep\": \"%s\", \"control_plane\": \"%s\", \"clients\": %d, "
-                 "\"avg_delay_ms\": %.3f, \"p99_delay_ms\": %.3f, \"loss_ratio\": %.5f, "
+                 "    {\"sweep\": \"%s\", \"fanout\": \"%s\", \"clients\": %d, "
+                 "\"avg_delay_ms\": %.3f, \"mean_max_delay_ms\": %.3f, \"loss_ratio\": %.5f, "
                  "\"offered_mbps\": %.2f, \"good_quality\": %s, "
                  "\"payload_copy_count\": %llu, \"payload_bytes_copied\": %llu}%s\n",
-                 sweep_key.c_str(), plane.c_str(), p.clients, p.avg_delay_ms, p.p99_delay_ms,
+                 sweep_key.c_str(), fanout.c_str(), p.clients, p.avg_delay_ms, p.mean_max_delay_ms,
                  p.loss_ratio, p.offered_mbps, p.good_quality ? "true" : "false",
                  static_cast<unsigned long long>(copies),
                  static_cast<unsigned long long>(copied_bytes),
@@ -99,48 +93,26 @@ void write_json() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace gmmcs::core;
   using gmmcs::broker::DispatchConfig;
-  bool run_locked = true;
-  bool run_snapshot = true;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--snapshot" && i + 1 < argc) {
-      std::string_view v(argv[++i]);
-      run_snapshot = v == "on";
-      run_locked = v == "off";
-    } else if (arg == "--quick") {
-      quick = true;
-    }
-  }
   std::printf("=== Broker capacity (claims C1/C2, DESIGN.md section 4) ===\n");
   std::printf("Quality criterion: avg delay < 150 ms and loss < 2%%.\n");
 
-  std::vector<int> audio_counts = {200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800};
-  std::vector<int> video_counts = {100, 200, 300, 400, 420, 440, 470, 500, 600};
-  // The snapshot plane's video knee lives beyond the locked sweep's range.
-  std::vector<int> video_snapshot_counts = {100, 200, 300, 400, 420, 440, 470,
-                                            500, 600, 800, 1000, 1200};
-  if (quick) {
-    audio_counts = {200};
-    video_counts = {100};
-    video_snapshot_counts = {100};
-  }
+  const std::vector<int> audio_counts = {200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800};
+  const std::vector<int> video_counts = {100, 200, 300, 400, 420, 440, 470, 500, 600};
+  // The batched plane's video knee lives beyond the per-copy sweep's range.
+  const std::vector<int> video_batched_counts = {100, 200, 300, 400, 420, 440, 470,
+                                                 500, 600, 800, 1000, 1200};
 
-  if (run_locked) {
-    sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "locked",
-          DispatchConfig::optimized(), audio_counts, 1000);
-    sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "locked",
-          DispatchConfig::optimized(), video_counts, 400);
-  }
-  if (run_snapshot) {
-    sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "snapshot",
-          DispatchConfig::snapshot(), audio_counts, 1000);
-    sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "snapshot",
-          DispatchConfig::snapshot(), video_snapshot_counts, 400);
-  }
-  if (!quick) write_json();
+  sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "per_copy",
+        DispatchConfig::optimized(), audio_counts, 1000);
+  sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "per_copy",
+        DispatchConfig::optimized(), video_counts, 400);
+  sweep(MediaKind::kAudio, "C1: audio clients per broker (64 Kbps G.711)", "audio", "batched",
+        DispatchConfig::batched(), audio_counts, 1000);
+  sweep(MediaKind::kVideo, "C2: video clients per broker (600 Kbps)", "video", "batched",
+        DispatchConfig::batched(), video_batched_counts, 400);
+  write_json();
   return 0;
 }

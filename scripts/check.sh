@@ -5,8 +5,8 @@
 #   (none)            address,undefined (the default gate)
 #   asan | address    AddressSanitizer + UndefinedBehaviorSanitizer
 #   lint              both linters (determinism + gmmcs-lint, including
-#                     the snapshot-discipline and lifetime passes) and
-#                     the lint fixture selftests; no build tree
+#                     the lifetime, copy and wire passes) and the lint
+#                     fixture selftests; no build tree
 #                     required. Budgeted: the whole mode must finish
 #                     inside LINT_BUDGET_S (default 180 s) so the gate
 #                     stays cheap enough to run on every commit
@@ -66,8 +66,8 @@ if [[ "$MODE" == "lint" ]]; then
   for tree in "$ROOT"/build "$ROOT"/build-*; do
     if [[ -f "$tree/compile_commands.json" ]]; then CCDB="$tree/compile_commands.json"; break; fi
   done
+  python3 "$ROOT/tools/lint/tests/test_determinism.py"
   python3 "$ROOT/tools/lint/tests/test_gmmcs_lint.py"
-  python3 "$ROOT/tools/lint/tests/test_snapshot.py"
   python3 "$ROOT/tools/lint/tests/test_lifetime.py"
   python3 "$ROOT/tools/lint/tests/test_copy.py"
   python3 "$ROOT/tools/lint/tests/test_wire.py"

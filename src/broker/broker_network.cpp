@@ -10,19 +10,7 @@ std::string ClusterAddress::to_string() const {
          std::to_string(node);
 }
 
-BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {
-  // Publish the empty epoch so dispatch-path readers never see a null
-  // snapshot: pre-finalize queries behave exactly as the locked tables
-  // did (next_hop throws "finalize() not called", distance -1, no
-  // interest matches).
-  publish_now();
-}
-
-BrokerNetwork::~BrokerNetwork() {
-  // A publication event may still be queued (fabric destroyed before the
-  // loop drains); cancel it so the event can't run into a dead `this`.
-  if (publish_pending_) net_->loop().cancel(publish_task_);
-}
+BrokerNetwork::BrokerNetwork(sim::Network& net) : net_(&net) {}
 
 BrokerNode& BrokerNetwork::add_broker(sim::Host& host, BrokerNode::Config cfg) {
   auto id = static_cast<BrokerId>(brokers_.size());
@@ -52,41 +40,6 @@ void BrokerNetwork::link(BrokerId a, BrokerId b) {
 
 void BrokerNetwork::finalize() {
   rebuild_routes();
-  mark_dirty(/*routes=*/true, /*interest=*/false);
-}
-
-void BrokerNetwork::mark_dirty(bool routes, bool interest) {
-  routes_dirty_ |= routes;
-  interest_dirty_ |= interest;
-  if (publish_pending_) return;
-  sim::EventLoop& loop = net_->loop();
-  if (!loop.executing()) {
-    // Setup / test code outside event execution: publish synchronously so
-    // the caller observes the new epoch immediately.
-    publish_now();
-    return;
-  }
-  // Inside a run: defer to a same-timestamp event, so every event already
-  // sequenced at this instant still reads the previous epoch.
-  publish_pending_ = true;
-  publish_task_ = loop.schedule_at(loop.now(), [this] {
-    publish_pending_ = false;
-    publish_task_ = 0;
-    publish_now();
-  });
-}
-
-void BrokerNetwork::publish_now() {
-  ++epoch_;
-  if (routes_dirty_ || !pub_routes_) {
-    pub_routes_ = std::make_shared<const RouteTables>(RouteTables{next_hop_, dist_});
-    routes_dirty_ = false;
-  }
-  if (interest_dirty_ || !pub_interest_) {
-    pub_interest_ = std::make_shared<const InterestTable>(interest_.flatten());
-    interest_dirty_ = false;
-  }
-  snapshot_ = std::make_shared<const ControlSnapshot>(epoch_, pub_routes_, pub_interest_);
 }
 
 void BrokerNetwork::rebuild_routes() {
@@ -135,12 +88,10 @@ void BrokerNetwork::report_link(BrokerId a, BrokerId b, bool up) {
     if (view_changed) {
       rebuild_route_row(a);
       ++route_recomputes_;
-      mark_dirty(/*routes=*/true, /*interest=*/false);
     }
   } else if (changed) {
     rebuild_routes();
     ++route_recomputes_;
-    mark_dirty(/*routes=*/true, /*interest=*/false);
   }
   if (changed && route_listener_) {
     route_listener_(key.first, key.second, up, net_->loop().now());
@@ -157,7 +108,6 @@ void BrokerNetwork::apply_link_state(BrokerId at, BrokerId a, BrokerId b, bool u
   if (!changed) return;
   rebuild_route_row(at);
   ++route_recomputes_;
-  mark_dirty(/*routes=*/true, /*interest=*/false);
 }
 
 void BrokerNetwork::set_address(BrokerId id, ClusterAddress addr) {
@@ -208,22 +158,30 @@ void BrokerNetwork::advertise(const TopicFilter& filter, BrokerId origin, bool a
   } else {
     interest_.unsubscribe(origin, filter);
   }
-  mark_dirty(/*routes=*/false, /*interest=*/true);
 }
 
 std::vector<BrokerId> BrokerNetwork::interested_brokers(const std::string& topic,
                                                         BrokerId exclude) const {
-  // Dispatch-path read of the published snapshot. Result is sorted by
-  // broker id like the locked index scan, so forwarding order is unchanged.
-  return snapshot()->interest().matches(topic, exclude);
+  // Sorted by broker id, so forwarding order is deterministic.
+  return interest_.matches(topic, exclude);
 }
 
 BrokerId BrokerNetwork::next_hop(BrokerId from, BrokerId to) const {
-  return snapshot()->routes().next_hop(from, to);
+  auto fit = next_hop_.find(from);
+  if (fit == next_hop_.end()) throw std::logic_error("BrokerNetwork: finalize() not called");
+  auto tit = fit->second.find(to);
+  if (tit == fit->second.end()) {
+    throw std::logic_error("BrokerNetwork: no route from " + std::to_string(from) + " to " +
+                           std::to_string(to));
+  }
+  return tit->second;
 }
 
 int BrokerNetwork::distance(BrokerId from, BrokerId to) const {
-  return snapshot()->routes().distance(from, to);
+  auto fit = dist_.find(from);
+  if (fit == dist_.end()) return -1;
+  auto tit = fit->second.find(to);
+  return tit == fit->second.end() ? -1 : tit->second;
 }
 
 }  // namespace gmmcs::broker

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "broker/broker_node.hpp"
-#include "broker/control_snapshot.hpp"
 #include "broker/subscription_index.hpp"
 #include "broker/topic.hpp"
 #include "common/pinned.hpp"
@@ -47,7 +46,6 @@ struct ClusterAddress {
 class GMMCS_PINNED("the cluster control plane is built before the loop starts and outlives its drain") BrokerNetwork {
  public:
   explicit BrokerNetwork(sim::Network& net);
-  ~BrokerNetwork();
 
   /// Creates a broker on the given host and registers it in the fabric.
   BrokerNode& add_broker(sim::Host& host, BrokerNode::Config cfg = {});
@@ -105,24 +103,20 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   void link_hierarchy();
 
   // --- Interest control plane ---
-  /// Applies an interest mutation; a fresh snapshot epoch is published
-  /// afterwards (see DESIGN.md §12 for the visibility contract).
+  /// Applies an interest mutation; visible to the very next query, even
+  /// one made later in the same event.
   void advertise(const TopicFilter& filter, BrokerId origin, bool add);
   /// All brokers (excluding `exclude`) with interest matching `topic`,
-  /// read from the current published snapshot.
+  /// sorted by broker id.
   [[nodiscard]] std::vector<BrokerId> interested_brokers(const std::string& topic,
                                                          BrokerId exclude) const;
 
-  // --- Routing queries (snapshot reads, like interested_brokers) ---
+  // --- Routing queries ---
+  /// First hop from `from` toward `to`. Throws std::logic_error if
+  /// finalize() never ran or `to` is unreachable (partitioned).
   [[nodiscard]] BrokerId next_hop(BrokerId from, BrokerId to) const;
-  /// Hop distance; -1 if unreachable.
+  /// Hop distance; -1 if unreachable (or finalize() never ran).
   [[nodiscard]] int distance(BrokerId from, BrokerId to) const;
-
-  /// The current control-plane epoch (routing tables + interest state) as
-  /// one immutable object. Dispatch paths that make several related
-  /// queries (e.g. distance then next_hop per target) should take one
-  /// snapshot and query it, so every answer comes from the same epoch.
-  [[nodiscard]] ControlSnapshotPtr snapshot() const { return snapshot_; }
 
  private:
   /// BFS over adjacency_ minus down_links_; shared by finalize() and
@@ -131,15 +125,6 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// Rebuilds one broker's routing row from the down-set it believes in:
   /// the shared down_links_ normally, its gossip view in gossip mode.
   void rebuild_route_row(BrokerId src);
-  /// Records which halves of the control plane changed and arranges for a
-  /// snapshot publication: synchronous outside event execution (setup and
-  /// tests observe the new epoch immediately), otherwise via one
-  /// same-timestamp event, so every event sequenced before it still reads
-  /// the previous epoch.
-  void mark_dirty(bool routes, bool interest);
-  /// Rebuilds the dirty snapshot halves and publishes the next epoch. The
-  /// only writer of snapshot_.
-  void publish_now();
 
   sim::Network* net_;
   std::vector<std::unique_ptr<BrokerNode>> brokers_;
@@ -162,24 +147,6 @@ class GMMCS_PINNED("the cluster control plane is built before the loop starts an
   /// per-node client table. Advertisements are refcounted per origin.
   SubscriptionIndex interest_;
   std::map<BrokerId, ClusterAddress> addresses_;
-
-  // --- Epoch-snapshot publication state (DESIGN.md §12) ---
-  std::uint64_t epoch_ = 0;
-  /// Which snapshot halves are stale relative to the authoritative state.
-  bool routes_dirty_ = true;
-  bool interest_dirty_ = true;
-  /// True while a publication event is scheduled (dedups mark_dirty calls
-  /// within one timestamp).
-  bool publish_pending_ = false;
-  sim::TaskId publish_task_ = 0;
-  /// Previously built halves, reused unchanged when only the other half
-  /// was dirtied (two-level sharing keeps republication cheap).
-  std::shared_ptr<const RouteTables> pub_routes_;
-  std::shared_ptr<const InterestTable> pub_interest_;
-  /// The published snapshot: written only by publish_now(). Readers keep
-  /// a superseded epoch alive through their own handle; the last one
-  /// frees it.
-  ControlSnapshotPtr snapshot_;
 };
 
 }  // namespace gmmcs::broker

@@ -28,10 +28,10 @@ DispatchConfig DispatchConfig::unoptimized() {
   return cfg;
 }
 
-DispatchConfig DispatchConfig::snapshot() {
+DispatchConfig DispatchConfig::batched() {
   DispatchConfig cfg;
   cfg.threads = 8;
-  cfg.control_plane = ControlPlane::kSnapshot;
+  cfg.fanout = FanOut::kBatched;
   return cfg;
 }
 
@@ -266,11 +266,17 @@ void BrokerNode::route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
   if (!remote_targets.empty()) route_remote(ev, remote_targets);
 }
 
+namespace {
+/// Egress-queue headroom the batched fan-out's NIC gate keeps free; see
+/// ServiceCenter::BatchParams.
+constexpr std::size_t kNicSlackBytes = 64 * 1024;
+}  // namespace
+
 void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
   std::vector<ClientId> cids = local_matches(ev->event().topic, exclude);
   if (cids.empty()) return;
   const SimDuration cost = cfg_.dispatch.copy_cost(ev->event().payload.size());
-  if (cfg_.dispatch.control_plane == DispatchConfig::ControlPlane::kSnapshot) {
+  if (cfg_.dispatch.fanout == DispatchConfig::FanOut::kBatched) {
     // One ServiceCenter batch for the whole fan-out: per-recipient
     // completion times come out of the arithmetic fast path, and the NIC
     // parameters let the gate model dispatch threads blocking on a full
@@ -286,7 +292,7 @@ void BrokerNode::fan_out_local(const RoutedEventPtr& ev, ClientId exclude) {
     params.wire_bytes = ev->wire().size() + nic.overhead_bytes;
     params.nic_bps = nic.egress_bps;
     params.nic_cap = nic.queue_bytes;
-    params.nic_slack = cfg_.dispatch.nic_slack_bytes;
+    params.nic_slack = kNicSlackBytes;
     dispatch_.submit_batch(batch->cids.size(), params, [this, batch](std::size_t i) {
       auto it = clients_.find(batch->cids[i]);
       if (it != clients_.end()) deliver_copy(it->second, *batch->ev);
@@ -306,13 +312,9 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<Broker
   // Unreachable brokers (fabric partitions, links not yet finalized) are
   // skipped rather than faulting the dispatch path. by_hop stays an
   // ordered map so forwards are submitted in deterministic hop order.
-  // One snapshot for the whole grouping: distance and next_hop answer
-  // from the same routing epoch.
-  const ControlSnapshotPtr snap = network_->snapshot();
-  const RouteTables& routes = snap->routes();
   std::map<BrokerId, std::vector<BrokerId>> by_hop;
   for (BrokerId t : targets) {
-    if (routes.distance(id_, t) < 0) {
+    if (network_->distance(id_, t) < 0) {
       ++unroutable_events_;
       if (warned_unroutable_.insert(t).second) {
         GMMCS_WARN("broker") << "broker " << id_ << ": no route to interested broker " << t
@@ -321,7 +323,7 @@ void BrokerNode::route_remote(const RoutedEventPtr& ev, const std::vector<Broker
       }
       continue;
     }
-    by_hop[routes.next_hop(id_, t)].push_back(t);
+    by_hop[network_->next_hop(id_, t)].push_back(t);
   }
   for (auto& [hop, subset] : by_hop) {
     dispatch_.submit(cfg_.dispatch.copy_cost(ev->event().payload.size()),

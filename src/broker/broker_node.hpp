@@ -40,16 +40,16 @@ class BrokerNetwork;
 /// Cost model of the broker's event dispatch path.
 struct DispatchConfig {
   /// How the dispatch path submits fan-out work (DESIGN.md §12).
-  enum class ControlPlane {
+  enum class FanOut {
     /// Classic per-copy submission: one ServiceCenter job per recipient,
-    /// no NIC backpressure on dispatch threads. Byte-identical to the
-    /// pre-snapshot tree; the before/after baseline in the benches.
-    kLocked,
+    /// no NIC backpressure on dispatch threads; the baseline in the
+    /// benches.
+    kPerCopy,
     /// Batched fan-out: one ServiceCenter batch per event (per-recipient
     /// completions expanded arithmetically) with the virtual-NIC
     /// admission gate, so dispatch threads block instead of flooding a
     /// full egress queue.
-    kSnapshot,
+    kBatched,
   };
 
   /// Parallel dispatch workers (the "message transmission" thread pool).
@@ -64,10 +64,7 @@ struct DispatchConfig {
   /// so the Figure-3 workload (400 x 600 Kbps) runs at ~93% dispatch
   /// utilization, the regime the paper measured (see DESIGN.md §6).
   SimDuration copy_per_kb = SimDuration{23400};
-  ControlPlane control_plane = ControlPlane::kLocked;
-  /// Egress-queue headroom the batched fan-out's NIC gate keeps free
-  /// (kSnapshot only); see ServiceCenter::BatchParams.
-  std::size_t nic_slack_bytes = 64 * 1024;
+  FanOut fanout = FanOut::kPerCopy;
 
   [[nodiscard]] SimDuration copy_cost(std::size_t payload_bytes) const;
 
@@ -77,10 +74,10 @@ struct DispatchConfig {
   /// The pre-optimization path (per-recipient buffer copies and
   /// allocation), used by the A1 ablation bench.
   static DispatchConfig unoptimized();
-  /// The epoch-snapshot control plane at full width: optimized costs,
-  /// batched fan-out and an 8-thread transmission pool (the pool size the
-  /// paper's broker ran in production).
-  static DispatchConfig snapshot();
+  /// The batched fan-out plane at full width: optimized costs, batched
+  /// fan-out and an 8-thread transmission pool (the pool size the paper's
+  /// broker ran in production).
+  static DispatchConfig batched();
 };
 
 /// Peer-link failure detection (the self-healing fabric's sensor layer):
@@ -213,8 +210,8 @@ class GMMCS_PINNED("brokers are immortal for a run: chaos frees connections, nev
   void route_and_deliver(const RoutedEventPtr& ev, ClientId exclude,
                          const std::vector<BrokerId>& remote_targets);
   /// Local fan-out of one event to every matching client (minus
-  /// `exclude`): per-copy dispatch jobs under ControlPlane::kLocked, one
-  /// NIC-gated ServiceCenter batch under kSnapshot.
+  /// `exclude`): per-copy dispatch jobs under FanOut::kPerCopy, one
+  /// NIC-gated ServiceCenter batch under kBatched.
   void fan_out_local(const RoutedEventPtr& ev, ClientId exclude);
   /// Forwards an event toward each remaining target broker, one copy per
   /// distinct next hop.

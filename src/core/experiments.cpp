@@ -246,7 +246,7 @@ CapacityPoint run_capacity(const CapacityConfig& cfg) {
     loss.add(probe->stats().loss_ratio());
   }
   out.avg_delay_ms = delay.mean();
-  out.p99_delay_ms = maxima.mean();  // conservative tail proxy (per-client max)
+  out.mean_max_delay_ms = maxima.mean();
   out.loss_ratio = loss.mean();
   out.offered_mbps = codec.bitrate_bps * cfg.clients / 1e6;
   out.good_quality = out.avg_delay_ms < 150.0 && out.loss_ratio < 0.02;

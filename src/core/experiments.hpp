@@ -72,7 +72,9 @@ struct CapacityConfig {
 struct CapacityPoint {
   int clients = 0;
   double avg_delay_ms = 0;
-  double p99_delay_ms = 0;
+  /// Mean over clients of each client's maximum delay (a tail proxy, not
+  /// a percentile).
+  double mean_max_delay_ms = 0;
   double loss_ratio = 0;
   double offered_mbps = 0;
   /// The paper's "very good quality": avg delay < 150 ms and loss < 2%

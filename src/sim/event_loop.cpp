@@ -92,10 +92,7 @@ bool EventLoop::step() {
   now_ = e.when;
   ++executed_;
   if (trace_) trace_(e.when, e.seq);
-  bool prev_exec = executing_;
-  executing_ = true;
   cb();
-  executing_ = prev_exec;
   return true;
 }
 

@@ -42,12 +42,6 @@ class EventLoop {
   /// Cancels a pending event; cancelling an already-run or unknown id is a no-op.
   void cancel(TaskId id);
 
-  /// True while the loop is executing an event. Deferred-publication logic
-  /// (BrokerNetwork's snapshot epoch) keys off this: mutations from setup
-  /// or test code publish synchronously, while mutations inside a run
-  /// defer publication to a same-timestamp event.
-  [[nodiscard]] bool executing() const { return executing_; }
-
   /// Runs events until the queue is empty.
   void run();
   /// Runs events with time <= deadline; afterwards now() == deadline.
@@ -126,8 +120,6 @@ class EventLoop {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint32_t next_serial_ = 1;
-  /// True while an event executes (see executing()).
-  bool executing_ = false;
   std::function<void(SimTime, std::uint64_t)> trace_;
 };
 

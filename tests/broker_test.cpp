@@ -2,6 +2,7 @@
 // single-broker pub/sub, multi-broker routing, RTP proxy, firewall clients.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -514,6 +515,103 @@ TEST_F(BrokerNetTest, UnroutableTargetsCountedNotFatal) {
   EXPECT_EQ(got, 0);
   EXPECT_EQ(b0.unroutable_events(), 5u);
   EXPECT_EQ(b0.peer_forwards(), 0u);
+}
+
+TEST_F(BrokerNetTest, UnfinalizedFabricHasNoRoutesOrInterest) {
+  BrokerNetwork fabric(net);
+  EXPECT_EQ(fabric.distance(0, 1), -1);
+  EXPECT_THROW((void)fabric.next_hop(0, 1), std::logic_error);
+  EXPECT_TRUE(fabric.interested_brokers("/any/topic", 0).empty());
+}
+
+/// 4-broker ring b0-b1-b2-b3-b0, finalized and settled.
+void build_ring(BrokerNetwork& fabric, sim::Network& net) {
+  for (int i = 0; i < 4; ++i) fabric.add_broker(net.add_host("b" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) fabric.link(i, (i + 1) % 4);
+  fabric.finalize();
+  net.loop().run();  // settle peer-link handshakes
+}
+
+/// Every pair must be walkable: following next_hop from `from` reaches
+/// `to` in exactly distance(from, to) steps. A half-built table (cleared
+/// but not yet rebuilt) cannot pass this.
+void expect_routes_complete(const BrokerNetwork& fabric, BrokerId n) {
+  for (BrokerId from = 0; from < n; ++from) {
+    for (BrokerId to = 0; to < n; ++to) {
+      if (from == to) continue;
+      int d = fabric.distance(from, to);
+      ASSERT_GT(d, 0) << from << "->" << to;
+      BrokerId cur = from;
+      for (int hop = 0; hop < d; ++hop) cur = fabric.next_hop(cur, to);
+      EXPECT_EQ(cur, to) << "walk " << from << "->" << to;
+    }
+  }
+}
+
+TEST_F(BrokerNetTest, RouteRepairAroundDownedRingLinkKeepsRoutesWalkable) {
+  BrokerNetwork fabric(net);
+  build_ring(fabric, net);
+  expect_routes_complete(fabric, 4);
+  ASSERT_EQ(fabric.distance(0, 1), 1);
+  fabric.report_link(0, 1, /*up=*/false);
+  // Routes go around the dead link at once: 0 -> 3 -> 2 -> 1.
+  EXPECT_EQ(fabric.distance(0, 1), 3);
+  EXPECT_EQ(fabric.next_hop(0, 1), 3u);
+  expect_routes_complete(fabric, 4);
+  EXPECT_EQ(fabric.route_recomputes(), 1u);
+}
+
+TEST_F(BrokerNetTest, AdvertiseMakesOriginInterested) {
+  BrokerNetwork fabric(net);
+  build_ring(fabric, net);
+  EXPECT_TRUE(fabric.interested_brokers("/conf/a", 0).empty());
+  fabric.advertise(TopicFilter("/conf/a"), /*origin=*/2, /*add=*/true);
+  EXPECT_EQ(fabric.interested_brokers("/conf/a", 0), std::vector<BrokerId>{2u});
+  EXPECT_TRUE(fabric.interested_brokers("/conf/a", /*exclude=*/2).empty());
+}
+
+TEST_F(BrokerNetTest, AdvertiseInsideEventIsVisibleToThatEvent) {
+  // The control plane is applied in place: an advertisement made inside
+  // an event is seen by a query later in the same event, and by every
+  // event after it.
+  BrokerNetwork fabric(net);
+  build_ring(fabric, net);
+  std::vector<BrokerId> seen_before;
+  std::vector<BrokerId> seen_same_event;
+  std::vector<BrokerId> seen_same_instant;
+  const SimTime t = loop.now() + duration_ms(1);
+  loop.schedule_at(t, [&] {
+    loop.schedule_at(t, [&] { seen_same_instant = fabric.interested_brokers("/conf/x", 0); });
+    seen_before = fabric.interested_brokers("/conf/x", 0);
+    fabric.advertise(TopicFilter("/conf/x"), /*origin=*/3, /*add=*/true);
+    seen_same_event = fabric.interested_brokers("/conf/x", 0);
+  });
+  loop.run();
+  EXPECT_TRUE(seen_before.empty());
+  EXPECT_EQ(seen_same_event, std::vector<BrokerId>{3u});
+  EXPECT_EQ(seen_same_instant, std::vector<BrokerId>{3u});
+}
+
+TEST_F(BrokerNetTest, SubscribeDuringFanoutIsPerEventAtomic) {
+  // A publish racing a subscription sees the subscription entirely or not
+  // at all (0 or 1 copies, never a duplicate from a half-applied table);
+  // a publish after it has settled delivers exactly one more.
+  BrokerNetwork fabric(net);
+  build_ring(fabric, net);
+  const char* topic = "/conf/atomic";
+  BrokerClient sub(net.add_host("sub"), fabric.broker(2).stream_endpoint(), {.name = "sub"});
+  BrokerClient pub(net.add_host("pub"), fabric.broker(0).stream_endpoint(), {.name = "pub"});
+  int got = 0;
+  sub.on_event([&](const Event&) { ++got; });
+  loop.run();  // settle hellos
+  sub.subscribe(topic);
+  pub.publish(topic, Bytes(64, 1));
+  loop.run();
+  const int first = got;
+  EXPECT_TRUE(first == 0 || first == 1) << first;
+  pub.publish(topic, Bytes(64, 1));
+  loop.run();
+  EXPECT_EQ(got, first + 1);
 }
 
 TEST_F(BrokerNetTest, ClientViaProxyTraversesFirewall) {

@@ -34,8 +34,9 @@ struct ChaosMetrics {
 
 /// A condensed fabric_chaos bench: 4-broker ring under a crash and a link
 /// flap, steady publish stream, two subscribers. Returns every simulated
-/// metric the bench reports. Broker-heavy by design: fan-out, snapshot
-/// reads and control-plane writes under route repair all shape the run.
+/// metric the bench reports. Broker-heavy by design: fan-out, interest
+/// and route reads, and control-plane writes under route repair all shape
+/// the run.
 ChaosMetrics run_chaos(std::uint64_t seed) {
   sim::EventLoop loop;
   sim::Network net(loop, seed);
@@ -146,7 +147,7 @@ TEST(Determinism, CapacityDoubleRunByteIdentical) {
   core::CapacityPoint a = run_capacity(cfg);
   core::CapacityPoint b = run_capacity(cfg);
   EXPECT_EQ(a.avg_delay_ms, b.avg_delay_ms);
-  EXPECT_EQ(a.p99_delay_ms, b.p99_delay_ms);
+  EXPECT_EQ(a.mean_max_delay_ms, b.mean_max_delay_ms);
   EXPECT_EQ(a.loss_ratio, b.loss_ratio);
   EXPECT_EQ(a.offered_mbps, b.offered_mbps);
 }

@@ -7,7 +7,7 @@ Three classes of latent cross-protocol bugs survive unit tests in such a
 codebase: a silent layering violation (a lower layer reaching up), a
 dropped Result from a wire-data parse, and an encode/decode asymmetry
 that only bites when the *other* stack parses the bytes. This linter
-makes all three machine-checked. Eight passes share one compilation-
+makes all three machine-checked. Seven passes share one compilation-
 database loader (tools/lint/frontend.py, shared with the determinism
 linter) and one suppression syntax:
 
@@ -47,11 +47,6 @@ linter) and one suppression syntax:
                    substantive (handles the rest, e.g. returns an error)
                    or commented with a reason. A bare `default: break;`
                    silently eats future enumerators.
-
-  snapshot         epoch-snapshot immutability discipline (DESIGN.md
-                   §12): snapshot types carry no mutable state and all
-                   code holds only const handles to them (details at the
-                   pass).
 
   lifetime         deferred-capture escape analysis (DESIGN.md §14):
                    every lambda that flows into a deferred-execution
@@ -174,8 +169,6 @@ MESSAGES = {
     "unchecked-value": "%s",
     "codec-symmetry": "%s",
     "switch-exhaustive": "%s",
-    "snapshot-type": "%s",
-    "snapshot-mutation": "%s",
     "lifetime": "%s",
     "copy": "%s",
     "wire": "%s",
@@ -951,7 +944,7 @@ def pass_switch_exhaustiveness(sources, enums=None):
 
 
 # --------------------------------------------------------------------------
-# Shared C++ structure helpers (snapshot, lifetime and copy passes).
+# Shared C++ structure helpers (lifetime and copy passes).
 # --------------------------------------------------------------------------
 
 CLASS_HEAD_RE = re.compile(
@@ -1100,70 +1093,6 @@ def _init_list_split(seg):
     return -1
 
 
-LAMBDA_HEAD_RE = re.compile(
-    r"\[[^\[\]]*\]\s*(?:\((?:[^()]|\([^()]*\))*\)\s*)?"
-    r"(?:mutable|noexcept|constexpr|->\s*[\w:<>]+|\s)*\{")
-
-
-def _split_lambdas(body, base_offset):
-    """Carves lambda bodies out of `body`. Returns (outer, lambdas) where
-    `outer` is `body` with lambda bodies blanked (length-preserving) and
-    `lambdas` is a list of (lambda_body, abs_offset)."""
-    lambdas = []
-    out = list(body)
-    pos = 0
-    while True:
-        m = LAMBDA_HEAD_RE.search("".join(out), pos)
-        if not m:
-            break
-        open_idx = m.end() - 1
-        end = _skip_braces(body, open_idx)
-        inner = body[open_idx + 1:end - 1]
-        sub_outer, sub_lams = _split_lambdas(inner, base_offset + open_idx + 1)
-        lambdas.append((sub_outer, base_offset + open_idx + 1))
-        lambdas.extend(sub_lams)
-        for i in range(open_idx + 1, end - 1):
-            if out[i] not in "\n":
-                out[i] = " "
-        pos = end
-    return "".join(out), lambdas
-
-
-# --------------------------------------------------------------------------
-# Pass 5: snapshot discipline.
-# --------------------------------------------------------------------------
-#
-# The epoch-snapshot control plane (DESIGN.md §12) publishes immutable
-# snapshot objects behind shared_ptr<const T>; dispatch paths take the
-# current epoch and query it while later epochs are built beside it. The
-# scheme is sound only while two invariants hold, and neither is
-# compiler-enforced once a const_cast or a stray non-const handle slips in:
-#
-#   snapshot-type         snapshot types stay structurally immutable: no
-#                         `mutable` members and no non-const methods
-#                         (constructors/destructors aside). A mutable
-#                         match cache, say, would let a reader change a
-#                         published epoch under every other holder.
-#
-#   snapshot-mutation     code holds only const handles to snapshot types
-#                         (`shared_ptr<const T>`, `const T&`), in every
-#                         scope: the writer builds the next epoch by value
-#                         and wraps it const (make_shared<const T>), and
-#                         casting constness away from a snapshot type is
-#                         never legal.
-#
-# Writes to the published pointer itself need no rule: it is a private
-# member of BrokerNetwork, so C++ access control limits them to the class.
-
-# Class names forming the immutable snapshot surface. Edit here when a
-# new snapshot type is introduced.
-SNAPSHOT_TYPES = [
-    "ControlSnapshot",
-    "RouteTables",
-    "InterestTable",
-]
-
-
 def _blank_braced(text):
     """Length-preserving copy of `text` with the interiors of all brace
     groups blanked (newlines kept): leaves only top-level declarations."""
@@ -1179,158 +1108,8 @@ def _blank_braced(text):
     return "".join(out)
 
 
-SNAP_METHOD_DECL_RE = re.compile(
-    r"(~?\w+)\s*\(((?:[^();]|\([^()]*\))*)\)\s*"
-    r"(?P<annos>(?:const|noexcept|final|override|->\s*[\w:<>]+|"
-    r"GMMCS_\w+\s*\([^()]*\)|\s)*);")
-SNAP_MUTABLE_RE = re.compile(r"^[ \t]*mutable\b", re.M)
-
-
-def pass_snapshot(sources, snapshot_types=None):
-    snapshot_types = (snapshot_types if snapshot_types is not None
-                      else SNAPSHOT_TYPES)
-    findings = []
-    if not snapshot_types:
-        return findings
-    # Cheap prefilter: fixture trees (and most modules) never mention a
-    # snapshot type, so skip the scan entirely.
-    if not any(t in src.text for src in sources for t in snapshot_types):
-        return findings
-
-    def emit(src, lineno, rule, msg):
-        if not src.suppressed(lineno, rule):
-            findings.append((src.rel, lineno, rule, msg))
-
-    type_alt = "|".join(re.escape(t) for t in sorted(snapshot_types))
-    cast_re = re.compile(
-        rf"\b(?:const_cast|const_pointer_cast)\s*<[^<>;]*\b(?:{type_alt})\b")
-    # Non-const handles: owning pointers to a mutable T, or T&/T* not
-    # preceded by const. `shared_ptr<const T>` fails the match by
-    # construction; the ref/pointer alternative checks its prefix below.
-    handle_re = re.compile(
-        rf"\b(?:std::)?(?:make_shared|make_unique|shared_ptr|unique_ptr)"
-        rf"\s*<\s*(?:{type_alt})\s*>"
-        rf"|\b(?:{type_alt})\s*(?:[&*]\s*)+\w")
-
-    def nonconst_handle_hits(text):
-        for m in handle_re.finditer(text):
-            if re.search(r"\bconst\s*$", text[:m.start()]):
-                continue  # `const T&` / `const T*`: a reader handle
-            yield m
-
-    # ---- snapshot-type: structural immutability of the types. ----
-    for src in sources:
-        for cls, b0, b1 in _scan_classes(src.text):
-            if cls not in snapshot_types:
-                continue
-            top = _blank_braced(src.text[b0:b1])
-            for m in SNAP_MUTABLE_RE.finditer(top):
-                emit(src, src.line_of(b0 + m.start()), "snapshot-type",
-                     f"snapshot type '{cls}' declares a mutable member — "
-                     f"published epochs must be immutable")
-            for m in SNAP_METHOD_DECL_RE.finditer(top):
-                name = m.group(1)
-                if name.lstrip("~") == cls:
-                    continue  # ctor/dtor declaration
-                seg_start = max(top.rfind(";", 0, m.start()),
-                                top.rfind("{", 0, m.start()),
-                                top.rfind("}", 0, m.start())) + 1
-                seg = top[seg_start:m.start()]
-                if re.search(r"\b(?:static|friend|using|typedef)\b", seg):
-                    continue
-                if not re.search(r"[\w>&*\]]\s*$", seg):
-                    continue  # no return type before it: not a declaration
-                if re.search(r"\bconst\b", m.group("annos")):
-                    continue
-                emit(src, src.line_of(b0 + m.start()), "snapshot-type",
-                     f"snapshot type '{cls}' declares non-const method "
-                     f"'{name}' — published epochs must be immutable")
-
-    def recover_signature(src, name, annos, off):
-        """The signature segment before the body brace, plus the real
-        function name: _extract_functions_ctx reads `Ctor(...) :
-        member(init) {` as a function named `member`, so ctors need their
-        name recovered from the text."""
-        brace = off - 1
-        seg_start = max(src.text.rfind(";", 0, brace),
-                        src.text.rfind("}", 0, brace),
-                        src.text.rfind("{", 0, brace)) + 1
-        raw_seg = src.text[seg_start:brace]
-        seg = re.sub(r"\b(?:public|private|protected)\s*:", " ", raw_seg)
-        colon = _init_list_split(seg)
-        if colon >= 0:
-            m = FUNC_SIG_RE.search(seg[:colon])
-            if m and m.group("name") not in FUNC_KEYWORDS:
-                return m.group("name"), (m.group("annos") or ""), \
-                    seg_start, raw_seg
-        return name, annos, seg_start, raw_seg
-
-    # Every function body and, as separate scopes, every lambda in it.
-    scopes = []
-    for src in sources:
-        for cls, name, _params, annos, fbody, off in \
-                _extract_functions_ctx(src.text):
-            name, annos, sig_off, sig = recover_signature(src, name, annos,
-                                                          off)
-            owner, tail = cls, name
-            if "::" in name:
-                owner, tail = name.rsplit("::", 1)
-                owner = owner.rsplit("::", 1)[-1]
-            is_snap_method = owner in snapshot_types
-            # snapshot-type, definitions: inline and out-of-line method
-            # bodies of snapshot types (the declaration scan above only
-            # sees prototypes).
-            if is_snap_method and tail.lstrip("~") != owner \
-                    and not re.search(r"\bconst\b", annos):
-                emit(src, src.line_of(off), "snapshot-type",
-                     f"snapshot type '{owner}' defines non-const method "
-                     f"'{tail}' — published epochs must be immutable")
-            outer, lambdas = _split_lambdas(fbody, off)
-            scopes.append((src, name, outer, off, is_snap_method, sig_off,
-                           sig))
-            for lam_body, lam_off in lambdas:
-                scopes.append((src, f"{name}::<lambda>", lam_body, lam_off,
-                               False, 0, ""))
-
-    for src, name, body, off, is_snap_method, sig_off, sig in scopes:
-        # snapshot-mutation: const_cast is never legal; neither is a
-        # non-const handle, in the body or the signature.
-        for m in cast_re.finditer(body):
-            emit(src, src.line_of(off + m.start()), "snapshot-mutation",
-                 f"casting constness away from a snapshot type in {name} — "
-                 f"published epochs are immutable; build a new one instead")
-        if is_snap_method:
-            continue  # the types' own internals are rule-1 territory
-        for m in nonconst_handle_hits(body):
-            emit(src, src.line_of(off + m.start()), "snapshot-mutation",
-                 f"non-const handle to a snapshot type in {name} — hold "
-                 f"const handles; build the next epoch by value and wrap "
-                 f"it with make_shared<const T>")
-        for m in nonconst_handle_hits(sig):
-            emit(src, src.line_of(sig_off + m.start()), "snapshot-mutation",
-                 f"non-const handle to a snapshot type in the signature of "
-                 f"{name} — take shared_ptr<const T>/const T& instead")
-
-    # Non-const handles in class bodies (member/prototype declarations):
-    # a member that keeps a mutable handle to a snapshot type defeats the
-    # shared_ptr<const> contract no matter who touches it.
-    for src in sources:
-        for cls, b0, b1 in _scan_classes(src.text):
-            if cls in snapshot_types:
-                continue
-            top = _blank_braced(src.text[b0:b1])
-            for m in nonconst_handle_hits(top):
-                emit(src, src.line_of(b0 + m.start()), "snapshot-mutation",
-                     f"non-const snapshot handle declared in class '{cls}' "
-                     f"— hold shared_ptr<const T>/const T& instead and "
-                     f"build new epochs from locals")
-
-    return sorted(set(findings))
-
-
-# --------------------------------------------------------------------------
-# Driver.
-# --------------------------------------------------------------------------
+# Pass 5 (snapshot discipline) went with the epoch snapshots it guarded;
+# later pass numbers are kept so references to them stay valid.
 
 # --------------------------------------------------------------------------
 # Pass 6: deferred-capture lifetime analysis.
@@ -2717,7 +2496,6 @@ PASSES = {
     "result": lambda srcs: pass_result(srcs),
     "codec": lambda srcs: pass_codec_symmetry(srcs),
     "switch": lambda srcs: pass_switch_exhaustiveness(srcs),
-    "snapshot": lambda srcs: pass_snapshot(srcs),
     "lifetime": lambda srcs: pass_lifetime(srcs),
     "copy": lambda srcs: pass_copy(srcs),
     "wire": lambda srcs: pass_wire(srcs),

@@ -44,28 +44,6 @@ void write_json(const std::vector<Point>& points) {
                  pt.fanout.c_str(), pt.clients, pt.threads, pt.p.avg_delay_ms, pt.p.loss_ratio,
                  pt.p.good_quality ? "true" : "false", i + 1 < points.size() ? "," : "");
   }
-  // Run log: dated notes on host-side perf work. Emitted here so the
-  // checked-in JSON stays byte-identical to a fresh run (the simulated
-  // metrics above are deterministic; wall-clock observations live only in
-  // these notes and on stdout).
-  std::fprintf(json,
-               "  ],\n  \"run_log\": [\n"
-               "    {\"date\": \"2026-08-07\", \"change\": \"SmallFn completion closures + "
-               "recycled slot table for ServiceCenter copy jobs\", "
-               "\"wall_clock\": \"interleaved best-of-4 user time 13.98s before vs 13.65s "
-               "after; parity within run-to-run noise (simulation event processing "
-               "dominates)\", "
-               "\"allocations\": \"per warmed copy job >= 3 heap allocations before, <= 1 "
-               "after (only the EventLoop callbacks_ map node remains; see ROADMAP) — "
-               "certified by ServiceCenterSmallFn.WarmedCopyJobsDoNotAllocate\", "
-               "\"metrics\": \"points array byte-identical before/after\"},\n"
-               "    {\"date\": \"2026-08-09\", \"change\": \"epoch-snapshot control plane: "
-               "lock-free snapshot reads, batched fan-out submission, virtual-NIC admission "
-               "gate; broker hosts off the exclusive lane so EventLoop workers parallelise "
-               "broker fan-out\", "
-               "\"metrics\": \"locked-plane points byte-identical to the pre-snapshot tree; "
-               "snapshot plane adds control_plane-tagged points (8 threads now strictly "
-               "better than 4 at 1400+ clients)\"}\n");
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_dispatch_threads.json\n");

@@ -146,9 +146,13 @@ void BrokerClient::keepalive_tick() {
 }
 
 void BrokerClient::handle_frame(const Payload& data) {
-  auto frame = decode(data);
-  if (!frame.ok()) return;
-  Frame f = std::move(frame).value();
+  Frame f;
+  f.event.topic.swap(topic_scratch_);
+  if (decode_into(data, f).ok()) dispatch(f);
+  topic_scratch_.swap(f.event.topic);
+}
+
+void BrokerClient::dispatch(Frame& f) {
   last_heard_ = host_->loop().now();
   switch (f.type) {
     case MessageType::kHelloAck:

@@ -104,7 +104,11 @@ class GMMCS_PINNED("client endpoints are created at run start and destroyed only
   [[nodiscard]] sim::Host& host() const { return *host_; }
 
  private:
+  /// Decodes one arrived frame into a stack Frame and dispatches it. The
+  /// Frame's event topic borrows topic_scratch_ for the call, so a warm
+  /// delivery decodes without allocating; the payload slice dies with it.
   void handle_frame(const Payload& data);
+  void dispatch(Frame& f);
   void flush_queue();
   /// (Re)opens the control stream and sends Hello.
   void open_stream();
@@ -128,6 +132,10 @@ class GMMCS_PINNED("client endpoints are created at run start and destroyed only
   std::uint64_t events_received_ = 0;
   std::uint64_t events_published_ = 0;
   std::deque<Event> pending_;
+  /// Capacity lent to each handle_frame()'s Frame::event.topic. Swapped in
+  /// and back out, so a re-entrant delivery finds it empty and decodes
+  /// into its own string instead of clobbering the outer Event.
+  std::string topic_scratch_;
   /// Live subscription set, replayed after every re-handshake.
   std::vector<std::string> filters_;
   // Self-healing state (all inert unless reconnect/keepalive enabled).

@@ -16,22 +16,23 @@ void encode_event_body(ByteWriter& w, const Event& e) {
   w.raw(e.payload);
 }
 
-Event decode_event_body(ByteReader& r, const Payload& frame) {
-  Event e;
+void decode_event_body(ByteReader& r, const Payload& frame, Event& e) {
   e.qos = static_cast<QoS>(r.u8());
   e.hops = r.u8();
   e.origin = SimTime{static_cast<std::int64_t>(r.u64())};
   e.seq = r.u32();
   e.publisher = r.u32();
-  e.topic = r.lstr();
+  e.topic.assign(r.lstr_view());  // reuses e.topic's capacity
   auto len = r.read_len_bounded(r.remaining());
-  if (!len.ok()) return e;  // reader is poisoned; caller checks r.ok()
+  if (!len.ok()) {
+    e.payload = Payload{};
+    return;  // reader is poisoned; caller checks r.ok()
+  }
   std::size_t at = r.position();
   // Advance through the reader, but take the payload as a zero-copy
   // slice of the frame buffer rather than an owned vector.
   r.skip(len.value());
   e.payload = frame.slice(at, len.value());
-  return e;
 }
 }  // namespace
 
@@ -126,15 +127,14 @@ Bytes encode(const LinkStateMessage& m) {
   return w.take();
 }
 
-Result<Frame> decode(const Payload& data) {
-  if (data.empty()) return fail<Frame>("broker: empty frame");
+Result<MessageType> decode_into(const Payload& data, Frame& f) {
+  if (data.empty()) return fail<MessageType>("broker: empty frame");
   ByteReader r(data);
-  Frame f;
   auto type = r.u8();
   switch (static_cast<MessageType>(type)) {
     case MessageType::kHello:
       f.type = MessageType::kHello;
-      f.hello.client_name = r.lstr();
+      f.hello.client_name.assign(r.lstr_view());
       f.hello.udp_port = r.u16();
       break;
     case MessageType::kHelloAck:
@@ -145,15 +145,16 @@ Result<Frame> decode(const Payload& data) {
     case MessageType::kSubscribe:
     case MessageType::kUnsubscribe:
       f.type = static_cast<MessageType>(type);
-      f.subscribe.filter = r.lstr();
+      f.subscribe.filter.assign(r.lstr_view());
       f.subscribe.subscribe = (static_cast<MessageType>(type) == MessageType::kSubscribe);
       break;
     case MessageType::kEvent:
       f.type = MessageType::kEvent;
-      f.event = decode_event_body(r, data);
+      decode_event_body(r, data, f.event);
       break;
     case MessageType::kPeerEvent: {
       f.type = MessageType::kPeerEvent;
+      f.peer_event.targets.clear();
       // A hostile 3-byte frame used to claim 65535 targets and allocate
       // 256 KiB before the truncation check; the clamped count read
       // rejects any count that can't fit in the bytes actually left.
@@ -163,7 +164,7 @@ Result<Frame> decode(const Payload& data) {
       for (std::size_t i = 0; i < n.value(); ++i) {
         f.peer_event.targets.push_back(r.u32());
       }
-      f.peer_event.event = decode_event_body(r, data);
+      decode_event_body(r, data, f.peer_event.event);
       break;
     }
     case MessageType::kPing:
@@ -185,9 +186,16 @@ Result<Frame> decode(const Payload& data) {
       f.link_state.up = r.u8() != 0;
       break;
     default:
-      return fail<Frame>("broker: unknown frame type " + std::to_string(type));
+      return fail<MessageType>("broker: unknown frame type " + std::to_string(type));
   }
-  if (!r.ok()) return fail<Frame>("broker: truncated frame");
+  if (!r.ok()) return fail<MessageType>("broker: truncated frame");
+  return f.type;
+}
+
+Result<Frame> decode(const Payload& data) {
+  Frame f;
+  auto decoded = decode_into(data, f);
+  if (!decoded.ok()) return decoded.error();
   return f;
 }
 

@@ -70,6 +70,10 @@ class Payload {
   /// Deep copy back to an owned vector (counted, like copy_of).
   [[nodiscard]] Bytes to_bytes() const;
 
+  /// Handles sharing this buffer (0 when empty). Tests use it to prove a
+  /// carrier dropped its reference.
+  [[nodiscard]] long use_count() const { return buf_.use_count(); }
+
   friend bool operator==(const Payload& a, const Payload& b) {
     return std::equal(a.data_, a.data_ + a.size_, b.data_, b.data_ + b.size_);
   }

@@ -1,14 +1,19 @@
-// SmallFn: a move-only `void()` callable with a 64-byte inline buffer.
+// SmallFn: a move-only `void()` callable with a 96-byte inline buffer.
 //
 // std::function on libstdc++ only stores captures inline when they are
 // trivially copyable and at most 16 bytes; a ServiceCenter copy job
 // captures a shared_ptr plus a couple of ids (24..56 bytes), so every
 // submitted job used to pay a heap allocation just to carry its
-// completion closure. SmallFn raises the inline threshold to 64 bytes
-// and drops the copyability requirement (move-only captures like
-// unique_ptr are fine). Callables that are still too big — or that need
-// stricter alignment than max_align_t — fall back to a single heap cell;
-// correctness never depends on fitting inline.
+// completion closure. SmallFn raises the inline threshold and drops the
+// copyability requirement (move-only captures like unique_ptr are fine).
+// 96 bytes is the largest hot-path capture: Network::transmit's arrival
+// closure holds this/src/dst/depart plus a 64-byte Datagram, and runs once
+// per delivered datagram (transmit static_asserts that it stays inline).
+// The price is 32 bytes more than a 64-byte buffer in every EventLoop
+// slot and every queued ServiceCenter job, used or not.
+// Callables that are still too big — or that need stricter alignment than
+// max_align_t — fall back to a single heap cell; correctness never depends
+// on fitting inline.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +25,14 @@ namespace gmmcs {
 
 class SmallFn {
  public:
-  static constexpr std::size_t kInlineBytes = 64;
+  static constexpr std::size_t kInlineBytes = 96;
+
+  // The move constructor must stay noexcept, so inline storage also
+  // requires a nothrow-movable callable (true for every capture in-tree).
+  template <class D>
+  static constexpr bool fits_inline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<D>;
 
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -70,13 +82,6 @@ class SmallFn {
     void (*destroy)(void* storage) noexcept;
     bool inline_stored;
   };
-
-  // The move constructor must stay noexcept, so inline storage also
-  // requires a nothrow-movable callable (true for every capture in-tree).
-  template <class D>
-  static constexpr bool fits_inline = sizeof(D) <= kInlineBytes &&
-                                      alignof(D) <= alignof(std::max_align_t) &&
-                                      std::is_nothrow_move_constructible_v<D>;
 
   template <class D>
   struct InlineOps {

@@ -33,10 +33,11 @@ void Host::set_up(bool up) {
   up_ = up;
   if (!up) {
     // Power loss wipes the NIC: queued bytes vanish (they must not
-    // serialize when power returns) and pending queue-release callbacks
-    // for them are invalidated via the epoch bump.
+    // serialize when power returns). Datagrams already handed to the
+    // network are dropped at arrival by egress_wiped().
     last_down_at_ = loop().now();
-    ++nic_epoch_;
+    nic_fifo_.clear();
+    nic_head_ = 0;
     nic_queued_bytes_ = 0;
     nic_free_at_ = loop().now();
   }
@@ -66,24 +67,40 @@ SimDuration Host::nic_backlog_delay() const {
   return nic_free_at_ - now;
 }
 
+void Host::release_departed() const {
+  const SimTime now = loop().now();
+  while (nic_head_ < nic_fifo_.size() && nic_fifo_[nic_head_].depart <= now) {
+    nic_queued_bytes_ -= nic_fifo_[nic_head_].wire_bytes;
+    ++nic_head_;
+  }
+  if (nic_head_ == nic_fifo_.size()) {
+    // Drained empty: reset in place, keeping the vector's capacity.
+    nic_fifo_.clear();
+    nic_head_ = 0;
+  } else if (nic_head_ >= 64 && nic_head_ * 2 >= nic_fifo_.size()) {
+    // Sustained backlog: trim the released prefix so the vector doesn't
+    // grow without bound while the queue never fully empties.
+    nic_fifo_.erase(nic_fifo_.begin(), nic_fifo_.begin() + static_cast<std::ptrdiff_t>(nic_head_));
+    nic_head_ = 0;
+  }
+}
+
 bool Host::egress(std::size_t wire_bytes, SimTime& depart) {
   // Single-server drop-tail queue modeled in virtual time: the NIC is busy
-  // until nic_free_at_; queued bytes are released when their packet departs.
+  // until nic_free_at_; a packet's bytes count against the queue bound
+  // until its departure instant, when the FIFO releases them.
+  release_departed();
   if (nic_queued_bytes_ + wire_bytes > nic_.queue_bytes) {
     ++nic_dropped_;
     return false;
   }
-  EventLoop& lp = loop();
-  SimTime now = lp.now();
-  SimTime start = std::max(now, nic_free_at_);
+  SimTime start = std::max(loop().now(), nic_free_at_);
   auto ser = duration_seconds(static_cast<double>(wire_bytes) * 8.0 / nic_.egress_bps);
   depart = start + ser;
   nic_free_at_ = depart;
   nic_queued_bytes_ += wire_bytes;
+  nic_fifo_.push_back(NicSlot{depart, wire_bytes});
   ++nic_sent_;
-  lp.schedule_at(depart, [this, wire_bytes, epoch = nic_epoch_] {
-    if (epoch == nic_epoch_) nic_queued_bytes_ -= wire_bytes;
-  });
   return true;
 }
 
@@ -287,6 +304,8 @@ void Network::transmit(Host& from, Datagram d, SimTime depart) {
     ++delivered_;
     dst->deliver(std::move(d));
   };
+  static_assert(EventLoop::Callback::fits_inline<decltype(arrival)>,
+                "the per-datagram arrival closure must not heap-allocate");
   loop_->schedule_at(arrive, std::move(arrival));
 }
 
@@ -317,6 +336,8 @@ void Network::transmit_multicast(Host& from, GroupId group, Datagram d, SimTime 
       ++delivered_;
       dst->deliver(std::move(copy));
     };
+    static_assert(EventLoop::Callback::fits_inline<decltype(arrival)>,
+                  "the per-datagram arrival closure must not heap-allocate");
     loop_->schedule_at(arrive, std::move(arrival));
   }
 }

@@ -4,7 +4,11 @@
 // model captures the mechanisms that produced the paper's measurements:
 //
 //  * each host has a NIC with finite egress bandwidth and a drop-tail
-//    byte-bounded egress queue — serialization + queueing delay;
+//    byte-bounded egress queue — serialization + queueing delay. A
+//    datagram's bytes leave the queue at its departure instant; the queue
+//    is a per-host FIFO of (depart, bytes) drained lazily by the next
+//    egress or nic_queued_bytes() call, so a send schedules exactly one
+//    loop event (the arrival) and no queue-release event;
 //  * host pairs have a path with propagation latency and random loss;
 //  * multicast groups serialize once at the sender and fan out in the
 //    network (used by the Access Grid / Admire communities);
@@ -149,7 +153,11 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   // NIC statistics.
   [[nodiscard]] std::uint64_t nic_sent() const { return nic_sent_; }
   [[nodiscard]] std::uint64_t nic_dropped() const { return nic_dropped_; }
-  [[nodiscard]] std::size_t nic_queued_bytes() const { return nic_queued_bytes_; }
+  /// Bytes of datagrams that have not yet departed (departure <= now has).
+  [[nodiscard]] std::size_t nic_queued_bytes() const {
+    release_departed();
+    return nic_queued_bytes_;
+  }
   /// Instantaneous NIC queueing delay for a hypothetical new packet.
   [[nodiscard]] SimDuration nic_backlog_delay() const;
 
@@ -159,6 +167,10 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
 
   /// Runs the egress pipeline; false on drop, else sets `depart`.
   bool egress(std::size_t wire_bytes, SimTime& depart);
+  /// Pops queued datagrams whose departure instant has passed and
+  /// releases their bytes. Const so nic_queued_bytes() can settle the
+  /// queue before reporting it; only the mutable NIC FIFO changes.
+  void release_departed() const;
   void deliver(Datagram d);
   /// True if a datagram that entered the NIC at `sent` and would have
   /// departed at `depart` was wiped by a power-down in between.
@@ -175,11 +187,17 @@ class GMMCS_PINNED("sim hosts are built with the topology and outlive the event 
   /// Most recent power-down instant (-1 = never). Queued NIC bytes with a
   /// later departure are dropped (see egress_wiped).
   SimTime last_down_at_{-1};
-  /// Bumped on power-down so pending queue-release callbacks for wiped
-  /// bytes become no-ops.
-  std::uint64_t nic_epoch_ = 0;
   SimTime nic_free_at_;
-  std::size_t nic_queued_bytes_ = 0;
+  /// One queued datagram: its departure instant and its bytes on the wire.
+  struct NicSlot {
+    SimTime depart;
+    std::size_t wire_bytes;
+  };
+  /// The NIC queue in departure order: entries [nic_head_, end) have not
+  /// been released yet (the ServiceCenter head-index FIFO).
+  mutable std::vector<NicSlot> nic_fifo_;
+  mutable std::size_t nic_head_ = 0;
+  mutable std::size_t nic_queued_bytes_ = 0;
   std::uint64_t nic_sent_ = 0;
   std::uint64_t nic_dropped_ = 0;
   std::uint16_t next_ephemeral_ = 49152;

@@ -112,10 +112,10 @@ void ServiceCenter::start(Job job) {
     slot = static_cast<std::uint32_t>(inflight_.size());
     inflight_.push_back(std::move(job.done));
   }
-  // {this, slot} is 16 trivially-copyable bytes: it fits std::function's
-  // inline buffer, so scheduling the completion allocates nothing. The
-  // callable itself sits in inflight_[slot] (inline in the SmallFn for
-  // captures up to 64 bytes).
+  // {this, slot} is 16 trivially-copyable bytes: it fits the loop
+  // Callback's inline buffer, so scheduling the completion allocates
+  // nothing. The callable itself sits in inflight_[slot] (inline in the
+  // SmallFn for captures up to SmallFn::kInlineBytes).
   loop_.schedule_after(job.service, [this, slot] {
     SmallFn done = std::move(inflight_[slot]);
     free_slots_.push_back(slot);  // safe: `done` reentering submit() sees a free slot

@@ -28,7 +28,7 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
 
   /// Submits a job; `done` runs when its service time has elapsed.
   /// Returns false (and drops the job) if the queue is full. The callable
-  /// rides in a SmallFn: captures up to 64 bytes cost no heap allocation.
+  /// rides in a SmallFn: captures up to 96 bytes cost no heap allocation.
   bool submit(SimDuration service_time, SmallFn done);
 
   /// Parameters for a batch of identical jobs (broker fan-out: one copy
@@ -117,7 +117,7 @@ class GMMCS_PINNED("wired into its loop at startup, torn down only after the loo
   /// copies), for gate_completion's admission model.
   double nic_free_v_ = 0;
   // In-flight completion callables, parked here so the EventLoop closure
-  // only captures {this, slot} — small enough for std::function's inline
+  // only captures {this, slot}, far inside the loop Callback's inline
   // buffer. Freed slots are recycled LIFO.
   std::vector<SmallFn> inflight_;
   std::vector<std::uint32_t> free_slots_;

@@ -121,6 +121,79 @@ class BrokerTest : public ::testing::Test {
   sim::Host& host(const std::string& name) { return net.add_host(name); }
 };
 
+TEST_F(BrokerTest, ClientDecodeReuseNeverLeaksAcrossFrames) {
+  // The client decodes every frame into a Frame whose topic borrows one
+  // recycled string. A long topic, then a short one, then a truncated
+  // frame and a kPing must each be seen as exactly themselves, and no
+  // frame's buffer may outlive its handler.
+  const std::string long_topic = "/xgsp/session/2003-lecture/video/mp4v-1";
+  const std::string short_topic = "/s/a";
+  sim::Host& bh = host("broker");
+  BrokerNode broker(bh, 0);
+  BrokerClient pub(host("pub"), broker.stream_endpoint());
+  BrokerClient sub(host("sub"), broker.stream_endpoint());
+  sub.subscribe(long_topic);
+  struct Seen {
+    std::string topic;
+    std::string payload;
+    long buffer_refs = 0;
+  };
+  std::vector<Seen> seen;
+  sub.on_event([&](const Event& e) {
+    seen.push_back({e.topic, to_string(e.payload), e.payload.use_count()});
+  });
+  // The broker's kEvent copies to `sub` reveal its UDP receive endpoint.
+  sim::Endpoint sub_udp{};
+  bh.set_egress_observer([&](const sim::Datagram& d) {
+    if (!d.payload.empty() && d.payload[0] == static_cast<std::uint8_t>(MessageType::kEvent)) {
+      sub_udp = d.dst;
+    }
+  });
+  loop.run();
+  pub.publish(long_topic, to_bytes("long-topic payload"));
+  loop.run();
+  ASSERT_EQ(seen.size(), 1u);
+  ASSERT_NE(sub_udp.port, 0);
+
+  // The rest arrive straight from a raw host, so the test keeps its own
+  // handle on each frame buffer.
+  sim::Host& raw = host("raw");
+  auto inject = [&](const Payload& frame) {
+    ASSERT_TRUE(raw.send(sub_udp, 9, frame));
+    loop.run();
+  };
+  Event short_ev;
+  short_ev.topic = short_topic;
+  short_ev.payload = to_bytes("s");
+  short_ev.seq = 2;
+  const Payload short_frame = encode(short_ev);
+  inject(short_frame);
+  Event cut_ev;
+  cut_ev.topic = "/cut/topic/that/never/decodes";
+  cut_ev.payload = to_bytes("truncated payload");
+  Bytes cut = encode(cut_ev);
+  cut.resize(40);  // ends mid-payload
+  const Payload cut_frame{std::move(cut)};
+  ASSERT_FALSE(decode(cut_frame).ok());
+  inject(cut_frame);
+  const Payload ping_frame = encode(PingMessage{7, loop.now()}, /*pong=*/false);
+  inject(ping_frame);
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(sub.events_received(), 2u);
+  EXPECT_EQ(seen[0].topic, long_topic);
+  EXPECT_EQ(seen[0].payload, "long-topic payload");
+  EXPECT_EQ(seen[1].topic, short_topic);
+  EXPECT_EQ(seen[1].payload, "s");
+  // During the handler the event's payload shared the arrived buffer
+  // (test handle + datagram + decoded slice); afterwards only the test's
+  // handle is left.
+  EXPECT_GE(seen[1].buffer_refs, 3);
+  EXPECT_EQ(short_frame.use_count(), 1);
+  EXPECT_EQ(cut_frame.use_count(), 1);
+  EXPECT_EQ(ping_frame.use_count(), 1);
+}
+
 TEST_F(BrokerTest, SingleBrokerPubSub) {
   sim::Host& bh = host("broker");
   BrokerNode broker(bh, 0);

@@ -423,9 +423,20 @@ TEST_F(NetworkTest, DownedHostDropsQueuedEgress) {
   int received = 0;
   b.bind(1, [&](const Datagram&) { ++received; });
   for (int i = 0; i < 5; ++i) a.send(Endpoint{b.id(), 1}, 2, Bytes(1000, 0));
-  loop.schedule_at(SimTime{duration_ms(20).ns()}, [&] { a.set_up(false); });
+  std::size_t before_crash = 0;
+  std::size_t after_crash = 1;
+  loop.schedule_at(SimTime{duration_ms(20).ns()}, [&] {
+    before_crash = a.nic_queued_bytes();
+    a.set_up(false);
+    after_crash = a.nic_queued_bytes();
+  });
   loop.run();
+  EXPECT_EQ(before_crash, 3000u);  // the three datagrams still queued
+  EXPECT_EQ(after_crash, 0u);
   EXPECT_EQ(received, 2);
+  EXPECT_EQ(net.delivered(), 2u);
+  // The wiped datagrams were already handed to the network; they are
+  // dropped at arrival and still counted lost.
   EXPECT_EQ(net.lost(), 3u);
 }
 
@@ -446,6 +457,73 @@ TEST_F(NetworkTest, RestartedHostStartsWithEmptyNicQueue) {
   loop.run();
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], duration_ms(58).ns() + duration_us(10).ns());
+}
+
+TEST_F(NetworkTest, DropTailAdmitsExactlyWhatFits) {
+  Host& a = net.add_host("a", NicConfig{.egress_bps = 8e6, .queue_bytes = 2500,
+                                        .overhead_bytes = 0});
+  Host& b = net.add_host("b");
+  const Endpoint to{b.id(), 1};
+  EXPECT_TRUE(a.send(to, 2, Bytes(1000, 0)));
+  EXPECT_TRUE(a.send(to, 2, Bytes(1000, 0)));
+  EXPECT_FALSE(a.send(to, 2, Bytes(501, 0)));  // 2501 > 2500
+  EXPECT_TRUE(a.send(to, 2, Bytes(500, 0)));   // fills the bound exactly
+  EXPECT_FALSE(a.send(to, 2, Bytes(1, 0)));
+  EXPECT_EQ(a.nic_queued_bytes(), 2500u);
+  EXPECT_EQ(a.nic_sent(), 3u);
+  EXPECT_EQ(a.nic_dropped(), 2u);
+  loop.run();
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
+}
+
+TEST_F(NetworkTest, SendAtDepartureInstantSeesQueuedBytesReleased) {
+  // 1000 bytes at 8 Mbps depart at exactly 1 ms. Both probes are scheduled
+  // before the send, so at equal instants they run first: a release that
+  // needed its own loop event would still hold the bytes at 1 ms.
+  Host& a = net.add_host("a", NicConfig{.egress_bps = 8e6, .queue_bytes = 1000,
+                                        .overhead_bytes = 0});
+  Host& b = net.add_host("b");
+  const Endpoint to{b.id(), 1};
+  std::size_t queued_just_before = 0;
+  std::size_t queued_at_departure = 1;
+  bool admitted = false;
+  loop.schedule_at(SimTime{duration_ms(1).ns() - 1},
+                   [&] { queued_just_before = a.nic_queued_bytes(); });
+  loop.schedule_at(SimTime{duration_ms(1).ns()}, [&] {
+    queued_at_departure = a.nic_queued_bytes();
+    admitted = a.send(to, 2, Bytes(1000, 0));
+  });
+  ASSERT_TRUE(a.send(to, 2, Bytes(1000, 0)));
+  loop.run();
+  EXPECT_EQ(queued_just_before, 1000u);
+  EXPECT_EQ(queued_at_departure, 0u);
+  EXPECT_TRUE(admitted);
+  EXPECT_EQ(a.nic_dropped(), 0u);
+}
+
+TEST_F(NetworkTest, RestartAdmitsAFullQueueAgain) {
+  Host& a = net.add_host("a", NicConfig{.egress_bps = 1e6, .queue_bytes = 2000,
+                                        .overhead_bytes = 0});
+  Host& b = net.add_host("b");
+  const Endpoint to{b.id(), 1};
+  int received = 0;
+  b.bind(1, [&](const Datagram&) { ++received; });
+  ASSERT_TRUE(a.send(to, 2, Bytes(1000, 0)));
+  ASSERT_TRUE(a.send(to, 2, Bytes(1000, 0)));
+  ASSERT_FALSE(a.send(to, 2, Bytes(1, 0)));  // full
+  int admitted = 0;
+  loop.schedule_at(SimTime{duration_ms(1).ns()}, [&] { a.set_up(false); });
+  loop.schedule_at(SimTime{duration_ms(2).ns()}, [&] {
+    a.set_up(true);
+    // Both pre-crash datagrams would still be queued (they depart at 8 and
+    // 16 ms) had the crash not wiped them.
+    if (a.send(to, 2, Bytes(1000, 0))) ++admitted;
+    if (a.send(to, 2, Bytes(1000, 0))) ++admitted;
+  });
+  loop.run();
+  EXPECT_EQ(admitted, 2);
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(a.nic_queued_bytes(), 0u);
 }
 
 TEST_F(NetworkTest, BindWhileDownThrows) {

@@ -46,18 +46,18 @@ TEST(SmallFn, InvokesAndReportsEngagement) {
   EXPECT_FALSE(static_cast<bool>(SmallFn{nullptr}));
 }
 
-TEST(SmallFn, CapturesUpTo64BytesInline) {
+TEST(SmallFn, CapturesUpTo96BytesInline) {
   struct Fat {
     std::shared_ptr<int> keep;
-    std::uint64_t ids[6];
+    std::uint64_t ids[10];  // 96 bytes: Network::transmit's arrival closure
     void operator()() const {}
   };
-  static_assert(sizeof(Fat) <= SmallFn::kInlineBytes);
+  static_assert(sizeof(Fat) == SmallFn::kInlineBytes);
   SmallFn fn(Fat{std::make_shared<int>(1), {}});
   EXPECT_TRUE(fn.is_inline());
 
   struct TooFat {
-    std::uint64_t blob[9];  // 72 bytes
+    std::uint64_t blob[13];  // 104 bytes
     void operator()() const {}
   };
   static_assert(sizeof(TooFat) > SmallFn::kInlineBytes);
@@ -116,9 +116,10 @@ TEST(SmallFn, HeapFallbackReleasesOnDestruction) {
   std::weak_ptr<int> watch = owner;
   struct Big {
     std::shared_ptr<int> keep;
-    std::uint64_t pad[9];
+    std::uint64_t pad[11];  // 104 bytes, over the inline buffer
     void operator()() const {}
   };
+  static_assert(sizeof(Big) > SmallFn::kInlineBytes);
   {
     SmallFn fn(Big{std::move(owner), {}});
     EXPECT_FALSE(fn.is_inline());
@@ -133,7 +134,7 @@ TEST(SmallFn, HeapFallbackReleasesOnDestruction) {
 // capacity), a copy job with a realistic capture (shared_ptr + ids,
 // > std::function's 16-byte SBO) costs ZERO heap allocations end to end.
 // EventLoop scheduling recycles a cb_slots_ entry (no map node) and
-// Callback is a SmallFn (64-byte inline buffer), so neither the EventLoop
+// Callback is a SmallFn (96-byte inline buffer), so neither the EventLoop
 // bookkeeping nor the completion closure allocates. Before the slot table
 // + SmallFn migration the same job cost >= 3 allocations (callbacks_ map
 // node + the std::function wrapping the capture + the outer completion

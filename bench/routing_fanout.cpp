@@ -71,6 +71,12 @@ Event make_event() {
   return ev;
 }
 
+/// Each timed loop stores its result here: a volatile store is an
+/// observable side effect, so the optimizer keeps the work. Namespace
+/// scope, because a store-only function-local static draws
+/// -Wunused-but-set-variable.
+volatile std::size_t g_sink;
+
 /// Runs `body(iters)` enough times to pass min_seconds; returns ops/sec
 /// where one op = one call of body's unit of work.
 template <class Body>
@@ -81,8 +87,6 @@ double rate_per_sec(double min_seconds, Body body) {
     std::size_t sink = 0;
     for (std::size_t i = 0; i < iters; ++i) sink += body();
     auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    // Keep the side effect alive without printing it.
-    static volatile std::size_t g_sink;
     g_sink = sink;
     if (dt >= min_seconds) return static_cast<double>(iters) / dt;
     iters = (dt <= 0) ? iters * 16 : static_cast<std::size_t>(iters * (min_seconds * 1.3 / dt)) + 1;

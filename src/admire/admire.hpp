@@ -78,9 +78,9 @@ class AdmireCommunity {
     std::vector<Rendezvous> rendezvous;
   };
 
-  [[nodiscard]] Result<xml::Element> establish(const xml::Element& request);
-  [[nodiscard]] Result<xml::Element> membership(const xml::Element& request);
-  [[nodiscard]] Result<xml::Element> control(const xml::Element& request);
+  Result<xml::Element> establish(const xml::Element& request);
+  Result<xml::Element> membership(const xml::Element& request);
+  Result<xml::Element> control(const xml::Element& request);
   SessionBridge& bridge_session(const xgsp::Session& session);
 
   sim::Host* host_;

@@ -133,10 +133,11 @@ void BrokerNode::accept(transport::StreamConnectionPtr conn) {
       case MessageType::kLinkState:
         handle_link_state(f.link_state);
         break;
-      default:
+      case MessageType::kHelloAck:
+      case MessageType::kPong:
         // kHelloAck is a broker-to-client reply; kPong from a client is the
-        // answer to our keepalive probe — the proof-of-life bump above is
-        // all it needs to do.
+        // answer to our keepalive probe. The proof-of-life bump above is
+        // all either needs.
         break;
     }
   });

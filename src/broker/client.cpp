@@ -188,9 +188,17 @@ void BrokerClient::dispatch(Frame& f) {
       // broker can tell a quiet-but-alive client from a ghost record.
       stream_->send(encode(f.ping, /*pong=*/true));
       break;
-    default:
-      // Clients only consume kHelloAck/kEvent/kPing (kPong is handled
-      // before the switch); other frames addressed to us are ignored.
+    case MessageType::kPong:
+      // The answer to our keepalive probe: the last_heard_ bump above is
+      // all it needs.
+      break;
+    case MessageType::kHello:
+    case MessageType::kSubscribe:
+    case MessageType::kUnsubscribe:
+    case MessageType::kPeerEvent:
+    case MessageType::kHeartbeat:
+    case MessageType::kLinkState:
+      // Kinds addressed to brokers; a client ignores one sent to it.
       break;
   }
 }

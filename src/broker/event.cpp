@@ -85,10 +85,6 @@ Bytes encode_peer_event(const Event& e, const std::vector<BrokerId>& targets) {
   return w.take();
 }
 
-Bytes encode(const PeerEventMessage& m) {
-  return encode_peer_event(m.event, m.targets);
-}
-
 std::uint64_t event_encode_count() {
   return g_event_encodes;
 }

@@ -112,7 +112,6 @@ Bytes encode(const HelloMessage& m);
 Bytes encode(const HelloAckMessage& m);
 Bytes encode(const SubscribeMessage& m);
 Bytes encode(const Event& e);
-Bytes encode(const PeerEventMessage& m);
 /// kPeerEvent framing straight from an Event and a target set, avoiding
 /// the intermediate PeerEventMessage copy of topic + payload.
 Bytes encode_peer_event(const Event& e, const std::vector<BrokerId>& targets);
@@ -167,11 +166,11 @@ struct Frame {
 
 /// Decodes a frame. The event payload inside a kEvent/kPeerEvent frame is
 /// a zero-copy slice of `data` (it shares the buffer; no bytes move).
-[[nodiscard]] Result<Frame> decode(const Payload& data);
+Result<Frame> decode(const Payload& data);
 /// decode() into a caller-owned Frame: strings are assigned into their
 /// existing capacity, so a receive path that lends the Frame a warm topic
 /// string decodes a kEvent without allocating. Returns the frame type, or
 /// decode()'s error; on error `out` holds partial state.
-[[nodiscard]] Result<MessageType> decode_into(const Payload& data, Frame& out);
+Result<MessageType> decode_into(const Payload& data, Frame& out);
 
 }  // namespace gmmcs::broker

@@ -79,14 +79,14 @@ class ByteReader {
   /// reader, so error-flag callers still see !ok()) unless the length is
   /// both <= max and <= remaining(). The returned length is safe to
   /// allocate against — it can never exceed the frame it arrived in.
-  [[nodiscard]] Result<std::size_t> read_len_bounded(std::size_t max);
+  Result<std::size_t> read_len_bounded(std::size_t max);
   /// Checked element-count reads (u8/u16/u32 wire widths): fail unless
   /// count * elem_size bytes are actually left in the buffer, so a
   /// hostile count can never drive a loop past the frame. elem_size is
   /// the wire size of one element (>= 1).
-  [[nodiscard]] Result<std::size_t> read_count_u8(std::size_t elem_size);
-  [[nodiscard]] Result<std::size_t> read_count_u16(std::size_t elem_size);
-  [[nodiscard]] Result<std::size_t> read_count_u32(std::size_t elem_size);
+  Result<std::size_t> read_count_u8(std::size_t elem_size);
+  Result<std::size_t> read_count_u16(std::size_t elem_size);
+  Result<std::size_t> read_count_u32(std::size_t elem_size);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool ok() const { return ok_; }
@@ -94,7 +94,7 @@ class ByteReader {
 
  private:
   [[nodiscard]] bool need(std::size_t n);
-  [[nodiscard]] Result<std::size_t> check_count(std::uint64_t count, std::size_t elem_size);
+  Result<std::size_t> check_count(std::uint64_t count, std::size_t elem_size);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

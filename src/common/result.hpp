@@ -19,8 +19,12 @@ struct Error {
 
 /// Either a value or an Error. Accessing value() on an error throws
 /// std::logic_error — by that point it *is* a programming mistake.
+///
+/// [[nodiscard]] on the class makes every function returning a Result
+/// nodiscard; with -Werror=unused-result (root CMakeLists.txt) a dropped
+/// parse is a compile error, and no declaration repeats the attribute.
 template <class T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : v_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
   Result(Error err) : v_(std::move(err)) {}  // NOLINT(google-explicit-constructor)
@@ -46,7 +50,7 @@ class Result {
 
 /// Convenience maker: fail<T>("reason").
 template <class T>
-[[nodiscard]] Result<T> fail(std::string message) {
+Result<T> fail(std::string message) {
   return Result<T>{Error{std::move(message)}};
 }
 

@@ -53,7 +53,7 @@ struct RasMessage {
   std::string reject_reason;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<RasMessage> decode(std::span<const std::uint8_t> data);
+  static Result<RasMessage> decode(std::span<const std::uint8_t> data);
 };
 
 // --- H.225.0 call signaling (Q.931 flavored, TCP port 1720) ---
@@ -76,7 +76,7 @@ struct Q931Message {
   std::string release_reason;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Q931Message> decode(std::span<const std::uint8_t> data);
+  static Result<Q931Message> decode(std::span<const std::uint8_t> data);
 };
 
 // --- H.245 conference control (own TCP connection) ---
@@ -109,7 +109,7 @@ struct H245Message {
   std::string reject_reason;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<H245Message> decode(std::span<const std::uint8_t> data);
+  static Result<H245Message> decode(std::span<const std::uint8_t> data);
 };
 
 }  // namespace gmmcs::h323

@@ -84,8 +84,11 @@ void H323Terminal::start_signaling(sim::Endpoint call_signal, std::vector<MediaP
         last_reject_ = m.release_reason;
         finish_call(false);
         break;
-      default:
-        break;  // CallProceeding / Alerting are progress indications
+      case Q931Type::kCallProceeding:
+      case Q931Type::kAlerting:
+        break;  // progress indications
+      case Q931Type::kSetup:
+        break;  // a terminal places calls; it never answers one
     }
   });
   // The called_party alias selects the conference; calling_party is the
@@ -143,8 +146,15 @@ void H323Terminal::handle_h245(const H245Message& m) {
       last_reject_ = m.reject_reason;
       finish_call(false);
       break;
-    default:
-      break;  // TCS-Ack, MSD-Ack
+    case H245Type::kTerminalCapabilitySetAck:
+    case H245Type::kMasterSlaveAck:
+      break;  // acks of our TCS and MSD; the gateway's TCS drives the call
+    case H245Type::kMasterSlaveDetermination:
+    case H245Type::kOpenLogicalChannel:
+    case H245Type::kCloseLogicalChannel:
+    case H245Type::kCloseLogicalChannelAck:
+    case H245Type::kEndSession:
+      break;  // the gateway never sends these to a terminal
   }
 }
 

@@ -29,7 +29,7 @@ struct RtpPacket {
   Payload payload;
 
   [[nodiscard]] Bytes serialize() const;
-  [[nodiscard]] static Result<RtpPacket> parse(const Payload& data);
+  static Result<RtpPacket> parse(const Payload& data);
 
   /// Total bytes on the wire (header + CSRCs + payload).
   [[nodiscard]] std::size_t wire_size() const {

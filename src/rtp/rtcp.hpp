@@ -62,7 +62,7 @@ struct RtcpPacket {
 Bytes serialize(const SenderReport& sr);
 Bytes serialize(const ReceiverReport& rr);
 Bytes serialize(const Bye& bye);
-[[nodiscard]] Result<RtcpPacket> parse_rtcp(std::span<const std::uint8_t> data);
+Result<RtcpPacket> parse_rtcp(std::span<const std::uint8_t> data);
 
 /// Distinguishes RTCP from RTP when both arrive on one socket: RTCP packet
 /// types 200..204 collide with the RTP marker+payload-type byte range

@@ -23,7 +23,7 @@ namespace gmmcs::sip {
 
 /// Contact address in our simulated addressing: "sim:<node>:<port>".
 std::string make_contact(sim::Endpoint ep);
-[[nodiscard]] Result<sim::Endpoint> parse_contact(const std::string& contact);
+Result<sim::Endpoint> parse_contact(const std::string& contact);
 
 class GMMCS_PINNED("SIP agents are run-long endpoints; their transports die first") SipAgent {
  public:

@@ -75,8 +75,8 @@ class HearMeService {
     std::vector<sim::Endpoint> phones;                      // unicast fan-out list
   };
 
-  [[nodiscard]] Result<xml::Element> establish(const xml::Element& request);
-  [[nodiscard]] Result<xml::Element> membership(const xml::Element& request);
+  Result<xml::Element> establish(const xml::Element& request);
+  Result<xml::Element> membership(const xml::Element& request);
   void fan_out(ConferenceBridge& bridge, const Payload& rtp_wire, sim::Endpoint except);
 
   sim::Host* host_;

@@ -23,7 +23,7 @@ struct SipUri {
   std::string host;
 
   [[nodiscard]] std::string to_string() const { return "sip:" + user + "@" + host; }
-  [[nodiscard]] static Result<SipUri> parse(const std::string& text);
+  static Result<SipUri> parse(const std::string& text);
   auto operator<=>(const SipUri&) const = default;
 };
 
@@ -56,7 +56,7 @@ struct SipMessage {
   [[nodiscard]] std::string to_uri() const;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Result<SipMessage> parse(const std::string& text);
+  static Result<SipMessage> parse(const std::string& text);
 
   /// Builds a request with the mandatory headers.
   static SipMessage request(const std::string& method, const std::string& uri,

@@ -29,7 +29,7 @@ struct Sdp {
   std::vector<SdpMedia> media;
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Result<Sdp> parse(const std::string& text);
+  static Result<Sdp> parse(const std::string& text);
 
   /// Endpoint of the first media line of the given kind (node from c=).
   [[nodiscard]] std::optional<sim::Endpoint> media_endpoint(const std::string& kind) const;

@@ -28,7 +28,7 @@ xml::Element make_envelope(xml::Element body_content);
 xml::Element make_fault(const std::string& code, const std::string& reason);
 /// Extracts the first element inside soap:Body. Faults come back as
 /// errors with the fault string.
-[[nodiscard]] Result<xml::Element> parse_envelope(const std::string& text);
+Result<xml::Element> parse_envelope(const std::string& text);
 
 /// Minimal HTTP messages carrying SOAP payloads.
 struct HttpRequest {
@@ -44,8 +44,8 @@ struct HttpResponse {
 
 std::string serialize(const HttpRequest& r);
 std::string serialize(const HttpResponse& r);
-[[nodiscard]] Result<HttpRequest> parse_http_request(const std::string& text);
-[[nodiscard]] Result<HttpResponse> parse_http_response(const std::string& text);
+Result<HttpRequest> parse_http_request(const std::string& text);
+Result<HttpResponse> parse_http_response(const std::string& text);
 
 /// A SOAP RPC endpoint: dispatches by the local name of the body's first
 /// child element ("CreateSession", "GetRendezvous", ...).

@@ -29,7 +29,7 @@ struct RtspMessage {
   [[nodiscard]] std::string session_id() const { return header("Session"); }
 
   [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static Result<RtspMessage> parse(const std::string& text);
+  static Result<RtspMessage> parse(const std::string& text);
 
   static RtspMessage request(const std::string& method, const std::string& uri, int cseq);
   static RtspMessage response(const RtspMessage& req, int status, const std::string& reason);

@@ -24,7 +24,7 @@ const char* to_string(MsgType t) {
 }
 
 namespace {
-[[nodiscard]] Result<MsgType> type_from(const std::string& s) {
+Result<MsgType> type_from(const std::string& s) {
   for (MsgType t : {MsgType::kCreateSession, MsgType::kJoinSession, MsgType::kLeaveSession,
                     MsgType::kEndSession, MsgType::kListSessions, MsgType::kFloorRequest,
                     MsgType::kFloorRelease, MsgType::kSessionInfo, MsgType::kJoinAck,

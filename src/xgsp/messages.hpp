@@ -59,8 +59,8 @@ struct Message {
 
   [[nodiscard]] xml::Element to_xml() const;
   [[nodiscard]] std::string serialize() const { return to_xml().serialize(); }
-  [[nodiscard]] static Result<Message> from_xml(const xml::Element& e);
-  [[nodiscard]] static Result<Message> parse(const std::string& text);
+  static Result<Message> from_xml(const xml::Element& e);
+  static Result<Message> parse(const std::string& text);
 
   // --- Convenience constructors for the common requests ---
   static Message create_session(std::string title, std::string creator, SessionMode mode,

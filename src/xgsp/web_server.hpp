@@ -32,12 +32,12 @@ class WebServer {
   [[nodiscard]] std::uint64_t calls() const { return soap_.calls(); }
 
  private:
-  [[nodiscard]] Result<xml::Element> create_session(const xml::Element& req);
-  [[nodiscard]] Result<xml::Element> join_session(const xml::Element& req);
-  [[nodiscard]] Result<xml::Element> leave_session(const xml::Element& req);
-  [[nodiscard]] Result<xml::Element> end_session(const xml::Element& req);
-  [[nodiscard]] Result<xml::Element> list_sessions(const xml::Element& req);
-  [[nodiscard]] Result<xml::Element> invite_community(const xml::Element& req);
+  Result<xml::Element> create_session(const xml::Element& req);
+  Result<xml::Element> join_session(const xml::Element& req);
+  Result<xml::Element> leave_session(const xml::Element& req);
+  Result<xml::Element> end_session(const xml::Element& req);
+  Result<xml::Element> list_sessions(const xml::Element& req);
+  Result<xml::Element> invite_community(const xml::Element& req);
 
   sim::Host* host_;
   SessionServer* sessions_;

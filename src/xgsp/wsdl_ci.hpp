@@ -33,8 +33,8 @@ struct WsdlCi {
 
   [[nodiscard]] xml::Element to_xml() const;
   [[nodiscard]] std::string serialize() const { return to_xml().serialize(); }
-  [[nodiscard]] static Result<WsdlCi> from_xml(const xml::Element& e);
-  [[nodiscard]] static Result<WsdlCi> parse(const std::string& text);
+  static Result<WsdlCi> from_xml(const xml::Element& e);
+  static Result<WsdlCi> parse(const std::string& text);
 };
 
 /// The "interface component" generated from a WSDL-CI descriptor: typed

@@ -183,7 +183,7 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : s_(text) {}
 
-  [[nodiscard]] Result<Element> parse_document() {
+  Result<Element> parse_document() {
     skip_misc();
     if (eof()) return fail<Element>("xml: empty document");
     Element root;

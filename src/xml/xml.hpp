@@ -81,6 +81,6 @@ std::string unescape(std::string_view escaped);
 std::string_view local_name(std::string_view qualified);
 
 /// Parses a document; returns the root element or a parse error.
-[[nodiscard]] Result<Element> parse(std::string_view text);
+Result<Element> parse(std::string_view text);
 
 }  // namespace gmmcs::xml

@@ -92,7 +92,7 @@ TEST(EventWire, PeerEventCarriesTargets) {
   m.event.topic = "/t";
   m.event.payload = Bytes(10, 1);
   m.targets = {3, 7, 9};
-  auto f = decode(encode(m));
+  auto f = decode(encode_peer_event(m.event, m.targets));
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(f.value().type, MessageType::kPeerEvent);
   EXPECT_EQ(f.value().peer_event.targets, (std::vector<BrokerId>{3, 7, 9}));
@@ -428,6 +428,45 @@ TEST_F(BrokerTest, DuplicateHelloKeepsFirstIdentity) {
   EXPECT_EQ(broker.client_count(), 1u);
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0], 1u);
+}
+
+TEST_F(BrokerTest, ClientHelloAckAndPongOnlyProveLife) {
+  // kHelloAck and kPong on a client stream are replies to frames the
+  // broker sends, never requests: each one refreshes the sender's record
+  // (so keepalive neither probes nor reaps it) and does nothing else. A
+  // silent twin shows what the refresh is worth: it is probed and reaped.
+  BrokerNode::Config cfg;
+  cfg.client_keepalive.interval = duration_ms(100);
+  cfg.client_keepalive.miss_threshold = 3;
+  BrokerNode broker(host("broker"), 0, cfg);
+  auto chatty = transport::StreamConnection::connect(host("chatty"), broker.stream_endpoint());
+  auto silent = transport::StreamConnection::connect(host("silent"), broker.stream_endpoint());
+  std::vector<MessageType> chatty_rx, silent_rx;
+  chatty->on_message([&](const Payload& data) {
+    auto f = decode(data);
+    if (f.ok()) chatty_rx.push_back(f.value().type);
+  });
+  silent->on_message([&](const Payload& data) {
+    auto f = decode(data);
+    if (f.ok()) silent_rx.push_back(f.value().type);
+  });
+  chatty->send(encode(HelloMessage{"chatty", 0}));
+  silent->send(encode(HelloMessage{"silent", 0}));
+  for (int i = 1; i <= 20; ++i) {
+    loop.schedule_after(duration_ms(50 * i), [&, i] {
+      chatty->send(i % 2 == 1 ? encode(HelloAckMessage{99, 1})
+                              : encode(PingMessage{7, loop.now()}, /*pong=*/true));
+    });
+  }
+  loop.run_for(duration_ms(1000));
+  EXPECT_EQ(chatty_rx, std::vector<MessageType>{MessageType::kHelloAck});
+  ASSERT_FALSE(silent_rx.empty());
+  EXPECT_EQ(silent_rx.front(), MessageType::kHelloAck);
+  EXPECT_EQ(silent_rx.back(), MessageType::kPing);
+  EXPECT_EQ(broker.clients_reaped(), 1u);
+  EXPECT_EQ(broker.client_count(), 1u);
+  EXPECT_EQ(broker.subscription_count(), 0u);
+  EXPECT_EQ(broker.events_in(), 0u);
 }
 
 TEST_F(BrokerTest, ClientDisconnectCleansSubscriptions) {

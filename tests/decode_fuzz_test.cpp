@@ -134,7 +134,7 @@ Bytes seed_broker(Rng& rng) {
       for (std::int64_t k = 0; k < n; ++k) {
         m.targets.push_back(static_cast<std::uint32_t>(rng.next()));
       }
-      return encode(m);
+      return gmmcs::broker::encode_peer_event(m.event, m.targets);
     }
     default:
       return encode(gmmcs::broker::LinkStateMessage{

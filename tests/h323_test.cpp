@@ -209,6 +209,40 @@ TEST_F(H323Test, FullCallBridgesMediaToBrokerTopic) {
   EXPECT_EQ(term_rtp.source_stats(1234).received(), 1u);  // no longer fanned out
 }
 
+TEST_F(H323Test, GatekeeperIgnoresConfirmsAndRejects) {
+  // Confirms and rejects are what the gatekeeper sends, never what it
+  // serves: each one addressed to it draws no answer and changes no state.
+  transport::DatagramSocket sock(net.add_host("stray"));
+  int replies = 0;
+  sock.on_receive([&](const sim::Datagram&) { ++replies; });
+  std::uint32_t seq = 0;
+  for (RasType t : {RasType::kGatekeeperConfirm, RasType::kGatekeeperReject,
+                    RasType::kRegistrationConfirm, RasType::kRegistrationReject,
+                    RasType::kAdmissionConfirm, RasType::kAdmissionReject,
+                    RasType::kDisengageConfirm, RasType::kBandwidthConfirm,
+                    RasType::kBandwidthReject}) {
+    RasMessage m;
+    m.type = t;
+    m.seq = ++seq;
+    m.endpoint_alias = "stray";
+    m.call_signal_address = sock.local();
+    m.bandwidth = 1000;
+    m.destination_alias = "conf-1";
+    sock.send_to(gk.ras_endpoint(), m.encode());
+  }
+  loop.run();
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(gk.registrations(), 0u);
+  EXPECT_EQ(gk.bandwidth_in_use(), 0u);
+  // The same socket's request is answered, so silence above is the
+  // gatekeeper's choice, not a lost path.
+  RasMessage grq;
+  grq.type = RasType::kGatekeeperRequest;
+  sock.send_to(gk.ras_endpoint(), grq.encode());
+  loop.run();
+  EXPECT_EQ(replies, 1);
+}
+
 TEST_F(H323Test, CallToUnknownConferenceReleases) {
   H323Terminal term(net.add_host("term"), "t", gk.ras_endpoint());
   term.register_endpoint([](bool) {});

@@ -162,6 +162,22 @@ TEST_F(XgspServerTest, JoinUnknownSessionFails) {
   EXPECT_FALSE(r.ok);
 }
 
+TEST_F(XgspServerTest, ReplyKindsAreNotRequests) {
+  // A reply kind arriving as a request is refused and creates nothing,
+  // even when it carries the fields a create request would use.
+  for (MsgType t : {MsgType::kSessionInfo, MsgType::kJoinAck, MsgType::kAck,
+                    MsgType::kSessionList, MsgType::kFloorStatus, MsgType::kError}) {
+    Message req = Message::create_session("stray", "mallory", SessionMode::kAdHoc, {});
+    req.type = t;
+    Message r = server->handle(req);
+    EXPECT_EQ(r.type, MsgType::kError) << to_string(t);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.reason.find("not a request"), std::string::npos) << r.reason;
+  }
+  EXPECT_TRUE(server->sessions().empty());
+  EXPECT_EQ(server->requests_handled(), 6u);
+}
+
 TEST_F(XgspServerTest, RemoteClientFullFlow) {
   XgspClient alice(net.add_host("alice"), broker_node.stream_endpoint(), "alice");
   XgspClient bob(net.add_host("bob"), broker_node.stream_endpoint(), "bob");

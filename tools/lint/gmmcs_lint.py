@@ -3,13 +3,16 @@
 
 Global-MMCS is a bundle of protocol stacks (XGSP, H.323, SIP, broker
 events, RTP, SOAP, RTSP) that interoperate through layered translation.
-Three classes of latent cross-protocol bugs survive unit tests in such a
-codebase: a silent layering violation (a lower layer reaching up), a
-dropped Result from a wire-data parse, and an encode/decode asymmetry
-that only bites when the *other* stack parses the bytes. This linter
-makes all three machine-checked. Seven passes share one compilation-
-database loader (tools/lint/frontend.py, shared with the determinism
-linter) and one suppression syntax:
+Latent cross-protocol bugs survive unit tests in such a codebase: a
+silent layering violation (a lower layer reaching up), an unchecked
+Result from a wire-data parse, and an encode/decode asymmetry that only
+bites when the *other* stack parses the bytes. This linter makes them
+machine-checked. Two sibling rules live in the compiler instead
+(DESIGN.md §10.2): Result is [[nodiscard]] at the class under
+-Werror=unused-result, and -Werror=switch-enum makes every switch name
+every enumerator. Six passes share one compilation-database loader
+(tools/lint/frontend.py, shared with the determinism linter) and one
+suppression syntax:
 
   layering         every `#include "mod/..."` edge is checked against the
                    declared layer DAG
@@ -24,13 +27,10 @@ linter) and one suppression syntax:
                    long as they stay acyclic). New top-level src/ dirs
                    must be added to LAYERS or they are errors too.
 
-  result-discipline  (1) every function returning Result<T> must be
-                   declared [[nodiscard]]; (2) a call to a known
-                   Result-returning parser/decoder must not be discarded
-                   as an expression statement; (3) `.value()` needs a
-                   dominating ok()-style check earlier in the same
-                   function (conservative text dominance — suppress the
-                   rare false positive with a reason).
+  result           `.value()` needs a dominating ok()-style check
+                   earlier in the same function (conservative text
+                   dominance — suppress the rare false positive with a
+                   reason).
 
   codec-symmetry   for each wire-message family the encode body's write
                    sequence (ByteWriter ops, helpers spliced, loops kept
@@ -40,13 +40,6 @@ linter) and one suppression syntax:
                    tag. Text/XML codecs are checked by field coverage:
                    struct members written by serialize and members
                    assigned by parse must be the same set.
-
-  switch-exhaustiveness  a switch over a message-kind enum (MessageType,
-                   RasType, Q931Type, H245Type, MsgType) must either
-                   cover every enumerator or carry a default that is
-                   substantive (handles the rest, e.g. returns an error)
-                   or commented with a reason. A bare `default: break;`
-                   silently eats future enumerators.
 
   lifetime         deferred-capture escape analysis (DESIGN.md §14):
                    every lambda that flows into a deferred-execution
@@ -87,7 +80,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import frontend
-from frontend import SourceFile, strip_comments, discover_compile_commands
+from frontend import discover_compile_commands
 
 # --------------------------------------------------------------------------
 # Configuration (edit here when the tree grows).
@@ -111,19 +104,6 @@ LAYERS = {
     "admire": 3,
     "baseline": 3,
     "core": 4,
-}
-
-# Message-kind enums whose switches must be exhaustive (or carry a
-# justified default). Keyed by enumerator spelling, values are collected
-# from the enum definitions found in src/.
-MESSAGE_ENUMS = {"MessageType", "RasType", "Q931Type", "H245Type", "MsgType"}
-
-# Function base names that (in this tree) only ever name Result-returning
-# wire parsers: a discarded expression-statement call to one of these is
-# always a bug.
-RESULT_CALL_NAMES = {
-    "decode", "parse", "from_xml", "parse_rtcp", "parse_envelope",
-    "parse_contact", "parse_http_request", "parse_http_response",
 }
 
 # Binary codec families: files whose ByteWriter/ByteReader functions are
@@ -164,11 +144,8 @@ TEXT_CODEC_FAMILIES = [
 MESSAGES = {
     "layering": "%s",
     "layering-cycle": "%s",
-    "nodiscard": "Result-returning declaration '%s' is missing [[nodiscard]]",
-    "discarded-result": "call to Result-returning '%s' discards its result",
     "unchecked-value": "%s",
     "codec-symmetry": "%s",
-    "switch-exhaustive": "%s",
     "lifetime": "%s",
     "copy": "%s",
     "wire": "%s",
@@ -273,80 +250,14 @@ def pass_layering(sources, layers=None):
 # Pass 2: result discipline.
 # --------------------------------------------------------------------------
 
-RESULT_DECL_RE = re.compile(
-    r"^\s*(?P<nd>\[\[nodiscard\]\]\s+)?(?:static\s+)?(?:gmmcs::)?Result<")
-DECL_NAME_RE = re.compile(r">\s*&?\s*(?P<name>[\w:]+)\s*\(")
 VALUE_USE_RE = re.compile(r"\.\s*value\s*\(\s*\)")
 
 
-def _decl_name(line):
-    """Function name of a `Result<...> name(...)` line, or None."""
-    # Find the matching '>' of the Result template argument list.
-    start = line.find("Result<")
-    depth = 0
-    i = start + len("Result<") - 1
-    while i < len(line):
-        if line[i] == "<":
-            depth += 1
-        elif line[i] == ">":
-            depth -= 1
-            if depth == 0:
-                break
-        i += 1
-    m = DECL_NAME_RE.match(line, i)
-    return m.group("name") if m else None
-
-
-def pass_result(sources, call_names=None):
-    call_names = call_names if call_names is not None else RESULT_CALL_NAMES
+def pass_result(sources):
+    """`.value()` without a dominating ok() check. Dropping a Result
+    outright is a compile error (Result is [[nodiscard]] at the class)."""
     findings = []
-
-    # Names declared Result-returning in headers: their .cpp definitions
-    # need no repeated attribute (it lives on the first declaration).
-    header_declared = set()
     for src in sources:
-        if not src.rel.endswith((".hpp", ".h")):
-            continue
-        for line in src.code:
-            if RESULT_DECL_RE.match(line):
-                name = _decl_name(line)
-                if name:
-                    header_declared.add(name.split("::")[-1])
-
-    for src in sources:
-        is_header = src.rel.endswith((".hpp", ".h"))
-        for idx, line in enumerate(src.code):
-            m = RESULT_DECL_RE.match(line)
-            if not m:
-                continue
-            name = _decl_name(line)
-            if name is None:
-                continue
-            if not is_header:
-                if "::" in name:
-                    continue  # out-of-line member def; attribute is on the decl
-                if name in header_declared:
-                    continue  # free-function def; attribute is on the decl
-            has_nd = bool(m.group("nd")) or "[[nodiscard]]" in src.code[idx - 1:idx]
-            if not has_nd and not src.suppressed(idx + 1, "nodiscard"):
-                findings.append((src.rel, idx + 1, "nodiscard",
-                                 MESSAGES["nodiscard"] % name))
-
-        # (2) discarded expression-statement calls to known parser names.
-        discard_re = re.compile(
-            r"^\s*(?:[A-Za-z_]\w*(?:::|\.|->))*(?P<name>"
-            + "|".join(sorted(call_names)) + r")\s*\(")
-        prev_code = ""
-        for idx, line in enumerate(src.code):
-            stripped = line.strip()
-            if stripped:
-                dm = discard_re.match(line)
-                starts_statement = prev_code == "" or prev_code[-1] in ";{}:"
-                if dm and starts_statement and not src.suppressed(idx + 1, "discarded-result"):
-                    findings.append((src.rel, idx + 1, "discarded-result",
-                                     MESSAGES["discarded-result"] % dm.group("name")))
-                prev_code = stripped
-        # (3) .value() without a dominating ok() check.
         findings.extend(_check_value_calls(src))
     return findings
 
@@ -445,12 +356,6 @@ OP_NORMALIZE = {"u8": "u8", "u16": "u16", "u32": "u32", "u64": "u64",
                 # the encoder's plain write.
                 "read_len_bounded": "u32", "read_count_u8": "u8",
                 "read_count_u16": "u16", "read_count_u32": "u32"}
-
-FUNC_HEAD_RE = re.compile(
-    r"(?:^|\n)\s*(?:template\s*<[^>]*>\s*)?"
-    r"(?P<head>[A-Za-z_][\w:<>,&*\s\[\]]*?)\s*"
-    r"\(", re.S)
-
 
 def _extract_functions(text):
     """Yields (name, params, body, offset) for every function definition.
@@ -854,94 +759,8 @@ def _check_text_codec(by_rel, fam):
     return findings
 
 
-# --------------------------------------------------------------------------
-# Pass 4: switch exhaustiveness.
-# --------------------------------------------------------------------------
-
-ENUM_DEF_RE = re.compile(r"\benum\s+class\s+(\w+)[^{;]*\{")
-ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*(?:=[^,}]*)?[,}]?", re.M)
-
-
-def collect_enums(sources, wanted=None):
-    wanted = wanted if wanted is not None else MESSAGE_ENUMS
-    enums = {}
-    for src in sources:
-        for m in ENUM_DEF_RE.finditer(src.text):
-            name = m.group(1)
-            if name not in wanted:
-                continue
-            end = _skip_braces(src.text, src.text.index("{", m.start()))
-            body = src.text[src.text.index("{", m.start()) + 1:end - 1]
-            vals = []
-            for line in body.splitlines():
-                em = ENUMERATOR_RE.match(line)
-                if em:
-                    vals.append(em.group(1))
-            if vals:
-                enums[name] = vals
-    return enums
-
-
-def pass_switch_exhaustiveness(sources, enums=None):
-    if enums is None:
-        enums = collect_enums(sources)
-    findings = []
-    for src in sources:
-        for m in re.finditer(r"\bswitch\s*\(", src.text):
-            close = _matching_paren(src.text, src.text.index("(", m.start()))
-            j = src.text.find("{", close)
-            if j < 0:
-                continue
-            end = _skip_braces(src.text, j)
-            body = src.text[j + 1:end - 1]
-            labels = set(CASE_RE.findall(body))
-            if not labels:
-                continue
-            # Which configured enum is this switch over? The one whose
-            # enumerator set contains every label.
-            owner = None
-            for ename, vals in enums.items():
-                if labels <= set(vals):
-                    owner = ename
-                    break
-            if owner is None:
-                continue
-            lineno = src.line_of(m.start())
-            if src.suppressed(lineno, "switch-exhaustive"):
-                continue
-            missing = [v for v in enums[owner] if v not in labels]
-            if not missing:
-                continue
-            dm = re.search(r"\bdefault\s*:", body)
-            if not dm:
-                findings.append(
-                    (src.rel, lineno, "switch-exhaustive",
-                     f"switch over {owner} misses enumerators "
-                     f"{', '.join(missing)} and has no default"))
-                continue
-            # Default present: it must be substantive (more than `break;`)
-            # or carry a comment explaining why the rest is ignorable.
-            default_body = body[dm.end():]
-            nxt = CASE_RE.search(default_body)
-            if nxt:
-                default_body = default_body[:nxt.start()]
-            code_only = strip_comments(default_body.splitlines())
-            substance = "".join(code_only).replace("break;", "").strip(" \n\t}")
-            # Raw text (with comments) for the reason check: find the raw
-            # region via line numbers.
-            start_line = src.line_of(j + 1 + dm.start())
-            end_line = min(start_line + len(default_body.splitlines()) + 1,
-                           len(src.raw))
-            raw_region = "\n".join(src.raw[start_line - 1:end_line])
-            has_comment = "//" in raw_region or "/*" in raw_region
-            if not substance and not has_comment:
-                findings.append(
-                    (src.rel, lineno, "switch-exhaustive",
-                     f"switch over {owner} misses {', '.join(missing)} behind a "
-                     f"bare `default: break;` — handle them or comment why "
-                     f"they are ignorable"))
-    return findings
-
+# Pass 4 (switch exhaustiveness) moved into the compiler as
+# -Werror=switch-enum (DESIGN.md §10.2).
 
 # --------------------------------------------------------------------------
 # Shared C++ structure helpers (lifetime and copy passes).
@@ -1226,16 +1045,6 @@ def _sig_params(sig):
         if colon >= 0:
             m = FUNC_SIG_RE.search(sig[:colon])
     return m.group("params") if m else ""
-
-
-def _param_names(params):
-    """Name of each parameter, in order (None for unnamed)."""
-    out = []
-    for p in _split_args(params):
-        p = p.split("=")[0].strip()
-        m = re.search(r"(\w+)\s*$", p)
-        out.append(m.group(1) if m and not _TYPE_TAIL_RE.search(p) else None)
-    return out
 
 
 # A parameter whose text *ends* in one of these is unnamed (`Mutex&`).
@@ -2164,7 +1973,6 @@ WIRE_PRIMITIVE_FILES = {"src/common/bytes.cpp", "src/common/bytes.hpp"}
 # bench configs), not peer bytes; common/ holds the parse helpers.
 WIRE_TRUSTED_MODULES = {"sim", "common"}
 
-WIRE_READ_RE = re.compile(r"\.\s*(?:u8|u16|u32|u64)\s*\(")
 WIRE_BOUNDED_RE = re.compile(
     r"read_len_bounded|read_count_u8|read_count_u16|read_count_u32"
     r"|std\s*::\s*min\b")
@@ -2495,7 +2303,6 @@ PASSES = {
     "layering": lambda srcs: pass_layering(srcs),
     "result": lambda srcs: pass_result(srcs),
     "codec": lambda srcs: pass_codec_symmetry(srcs),
-    "switch": lambda srcs: pass_switch_exhaustiveness(srcs),
     "lifetime": lambda srcs: pass_lifetime(srcs),
     "copy": lambda srcs: pass_copy(srcs),
     "wire": lambda srcs: pass_wire(srcs),
@@ -2541,12 +2348,12 @@ def _apply_copy_fix(text, rec):
     return text[:at] + rec["new"] + text[at + len(rec["old"]):]
 
 
-def apply_fixes(root, findings):
-    """Applies the mechanical fixes: inserting [[nodiscard]] on Result<T>
-    declarations flagged by the result pass, rewriting raw captures
-    flagged by the lifetime pass into the weak_ptr + lock + early-return
-    shape (when the pointer's source is a shared_ptr in scope), and the
-    copy pass's rewrites (by-value Bytes params to const Bytes&,
+def apply_fixes(root):
+    """Applies the mechanical fixes the last lifetime and copy pass runs
+    recorded: rewriting raw
+    captures flagged by the lifetime pass into the weak_ptr + lock +
+    early-return shape (when the pointer's source is a shared_ptr in
+    scope), and the copy pass's rewrites (by-value Bytes params to const Bytes&,
     inspect-only allocating reads to their view siblings). Returns the
     number of edits made. Idempotent by construction: a fixed site no
     longer produces the finding that drives the edit."""
@@ -2578,21 +2385,6 @@ def apply_fixes(root, findings):
                 text = new_text
                 edits += 1
         path.write_text(text)
-    # [[nodiscard]] insertions.
-    by_file = {}
-    for rel, lineno, rule, _msg in findings:
-        if rule == "nodiscard":
-            by_file.setdefault(rel, set()).add(lineno)
-    for rel, linenos in sorted(by_file.items()):
-        path = root / rel
-        raw = path.read_text().splitlines(keepends=True)
-        for lineno in sorted(linenos):
-            line = raw[lineno - 1]
-            stripped = line.lstrip()
-            indent = line[:len(line) - len(stripped)]
-            raw[lineno - 1] = indent + "[[nodiscard]] " + stripped
-            edits += 1
-        path.write_text("".join(raw))
     return edits
 
 
@@ -2614,8 +2406,8 @@ def main():
     ap.add_argument("--passes", default=None,
                     help="comma-separated subset of: " + ",".join(PASSES))
     ap.add_argument("--fix", action="store_true",
-                    help="auto-insert missing [[nodiscard]], rewrite "
-                         "raw deferred captures to the weak_ptr shape, "
+                    help="rewrite raw deferred captures to the weak_ptr "
+                         "shape, "
                          "and apply the copy pass's mechanical rewrites "
                          "(const Bytes& params, view() reads), then "
                          "re-lint")
@@ -2637,7 +2429,7 @@ def main():
 
     findings, nfiles = run(root, ccdb, passes, jobs=args.jobs)
     if args.fix:
-        fixed = apply_fixes(root, findings)
+        fixed = apply_fixes(root)
         if fixed:
             print(f"gmmcs-lint: --fix rewrote {fixed} site(s)")
             findings, nfiles = run(root, ccdb, passes, jobs=args.jobs)
